@@ -111,14 +111,6 @@ wait "$HTTP_PID" \
   || { echo "HTTP FAILURE: observed fig7 run failed" >&2; exit 1; }
 echo "    endpoints live (200s), stdout byte-identical at jobs 1 and 4"
 
-echo "==> intra-cell parallelism smoke (ASAP_CELL_JOBS=2 vs serial engine)"
-ASAP_BENCHES=HM ASAP_OPS=10 ASAP_JOBS=1 ASAP_WALLCLOCK= ASAP_RUNCACHE=off \
-  ASAP_CELL_JOBS=2 \
-  cargo bench -p asap-bench --bench fig7_speedup >target/cell_jobs.out 2>/dev/null
-cmp target/cell_jobs.out target/runcache_pass1.out \
-  || { echo "CELL-JOBS FAILURE: domain-parallel stdout differs from serial engine" >&2; exit 1; }
-echo "    ASAP_CELL_JOBS=2 stdout byte-identical to serial"
-
 echo "==> crash-point sweep smoke (CoW forks vs legacy re-runs, 32 points)"
 # The example asserts every fork byte-identical to a full crash_after
 # re-run, every recovery verified, and (at >= 32 points) the sweep at

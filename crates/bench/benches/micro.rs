@@ -84,51 +84,6 @@ fn bench_events() {
     });
 }
 
-fn bench_domains() {
-    // Min-of-mins frontier over per-channel calendar wheels — the
-    // domain-partitioned replacement for the single global wheel
-    // (DESIGN.md §12). Same rolling near-future shape as
-    // `event_queue_push_pop`, spread across four domains so every pop
-    // pays the frontier scan.
-    let mut dw: asap_sim::DomainWheels<u64> = asap_sim::DomainWheels::new(4);
-    let mut t = 0u64;
-    bench("domain_frontier_push_pop", || {
-        t += 13;
-        for ch in 0..4u32 {
-            dw.push(ch, Cycle(t + 16 + u64::from(ch) * 7), t);
-        }
-        for _ in 0..4 {
-            black_box(dw.pop());
-        }
-    });
-
-    // Cross-domain exchange: a full parallel window — scoped workers
-    // drain each channel's wheel, then the serial replay merge re-emits
-    // the buffered out-events in global order. Measures the fixed cost
-    // of engaging `ASAP_CELL_JOBS` per advance (thread scope + merge),
-    // the overhead the window-size floor exists to amortize.
-    let cfg = SystemConfig::table2();
-    asap_mem::set_cell_jobs(Some(2));
-    asap_mem::set_parallel_window_min(Some(0));
-    let mut mem = MemSystem::new(&cfg);
-    asap_mem::set_cell_jobs(None);
-    asap_mem::set_parallel_window_min(None);
-    let mut image = MemoryImage::new();
-    let mut t = 0u64;
-    bench("domain_window_exchange", || {
-        t += 100;
-        for i in 0..8u64 {
-            let line = LineAddr(PM_BASE / 64 + (t + i * 129) % 1024);
-            mem.submit(
-                PersistOp::new(PersistKind::Dpo, line, [0u8; 64], None),
-                Cycle(t),
-            );
-        }
-        mem.advance_to(Cycle(t), &mut image);
-        while mem.pop_event().is_some() {}
-    });
-}
-
 fn bench_cache() {
     let cfg = SystemConfig::table2();
     let mut h = CacheHierarchy::new(&cfg);
@@ -433,7 +388,6 @@ fn bench_transaction() {
 
 fn main() {
     bench_events();
-    bench_domains();
     bench_cache();
     bench_image();
     bench_wpq();

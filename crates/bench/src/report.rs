@@ -266,8 +266,17 @@ pub(crate) fn render_html() -> String {
 mod tests {
     use super::*;
 
+    /// The tests below toggle the process-global `LIVE` flag and share the
+    /// recent/sweep queues, so they must not interleave.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn report_renders_and_respects_live_gate() {
+        let _serial = serial();
         // Not live: notes are dropped.
         set_live(false);
         note_cell(CellNote {
@@ -297,6 +306,7 @@ mod tests {
 
     #[test]
     fn sweep_table_renders_and_respects_live_gate() {
+        let _serial = serial();
         let point = |n: u64, crashed: bool| CrashPointOutcome {
             crash_after: n,
             crashed,
@@ -330,6 +340,7 @@ mod tests {
 
     #[test]
     fn recent_queue_is_bounded() {
+        let _serial = serial();
         set_live(true);
         for i in 0..(RECENT_CAP + 10) {
             note_cell(CellNote {

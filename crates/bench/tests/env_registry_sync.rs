@@ -1,7 +1,11 @@
-//! Every `ASAP_`-prefixed environment variable read anywhere in the
-//! workspace must be listed in [`asap_sim::KNOWN_ASAP_ENV`] — otherwise
-//! the unknown-variable warning would fire on a knob the code actually
-//! honors (or worse, a new knob would be unlisted and untypo-checked).
+//! [`asap_sim::KNOWN_ASAP_ENV`] must list exactly the `ASAP_`-prefixed
+//! environment variables the workspace reads. An unlisted read would make
+//! the unknown-variable warning fire on a knob the code actually honors
+//! (or leave a new knob untypo-checked); a listed name nothing reads would
+//! let a deleted knob linger in the registry and in the warning text.
+//!
+//! A "read" is an `"ASAP_*"` literal on a Rust line that calls
+//! `env::var`, or a `${ASAP_*` expansion in `ci.sh`.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -24,8 +28,23 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// The `ASAP_*` names `ci.sh` expands (`${ASAP_PERF_GATE:-}` and the like).
+fn ci_expansions(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut rest = text;
+    while let Some(i) = rest.find("${ASAP_") {
+        let lit = &rest[i + 2..];
+        let end = lit
+            .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+            .unwrap_or(lit.len());
+        out.push(lit[..end].to_string());
+        rest = &lit[end..];
+    }
+    out
+}
+
 #[test]
-fn every_env_read_is_registered() {
+fn env_registry_matches_env_reads() {
     // CARGO_MANIFEST_DIR of this crate is crates/bench.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut files = Vec::new();
@@ -53,6 +72,12 @@ fn every_env_read_is_registered() {
         }
     }
 
+    let ci = root.join("ci.sh");
+    let ci_text = std::fs::read_to_string(&ci).expect("ci.sh at the workspace root");
+    for var in ci_expansions(&ci_text) {
+        reads.insert((var, ci.display().to_string()));
+    }
+
     let mut seen = BTreeSet::new();
     for (var, file) in &reads {
         assert!(
@@ -71,5 +96,11 @@ fn every_env_read_is_registered() {
         "ASAP_PROGRESS",
     ] {
         assert!(seen.contains(known), "scan should find a read of {known}");
+    }
+    for known in asap_sim::KNOWN_ASAP_ENV {
+        assert!(
+            seen.contains(known),
+            "KNOWN_ASAP_ENV lists {known}, but nothing in the workspace reads it"
+        );
     }
 }

@@ -35,4 +35,4 @@ pub use cache::{Access, CacheHierarchy, Evicted, HitLevel};
 pub use line::LineState;
 pub use persist::{MemEvent, OpId, PersistKind, PersistOp};
 pub use rid::Rid;
-pub use system::{set_cell_jobs, set_parallel_window_min, MemSystem};
+pub use system::MemSystem;

@@ -17,73 +17,12 @@
 //! the WPQ, the pending queue, and the whole event queue.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-use std::time::Instant;
 
 use asap_pmem::{AddrMap, LineAddr, MemoryImage};
-use asap_sim::{
-    Cycle, DomainWheels, EventQueue, MemConfig, Stats, Trace, TraceEvent, TraceSettings,
-};
+use asap_sim::{Cycle, EventQueue, MemConfig, Stats, Trace, TraceEvent, TraceSettings};
 
 use crate::persist::{MemEvent, OpId, PersistKind, PersistOp};
 use crate::rid::Rid;
-
-/// Host worker count for intra-cell domain parallelism: `0` = follow the
-/// `ASAP_CELL_JOBS` environment knob (the default), anything else is a
-/// process-wide override installed by [`set_cell_jobs`].
-static CELL_JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Parallel-window engagement threshold override (`0` = default const);
-/// stored as `n + 1` so tests can force `0` (always parallel).
-static PAR_WINDOW_MIN_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Minimum pending-event population before an advance window is worth
-/// farming out to worker threads: a scoped spawn plus the replay merge
-/// costs microseconds, so small windows (the per-access common case) stay
-/// on the serial path. Both paths produce bit-identical results — this is
-/// purely a host-side cost cutoff.
-const PAR_WINDOW_MIN_EVENTS: usize = 128;
-
-fn cell_jobs_env() -> usize {
-    static FROM_ENV: OnceLock<usize> = OnceLock::new();
-    *FROM_ENV.get_or_init(|| {
-        std::env::var("ASAP_CELL_JOBS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    })
-}
-
-/// Overrides the intra-cell worker count for newly built [`MemSystem`]s
-/// (`None` = back to the `ASAP_CELL_JOBS` environment knob). Tests and
-/// harnesses use this because one process runs many cells and the
-/// environment is read only once.
-pub fn set_cell_jobs(n: Option<usize>) {
-    CELL_JOBS_OVERRIDE.store(n.map_or(0, |n| n.max(1)), Ordering::Relaxed);
-}
-
-/// Overrides the parallel-window engagement threshold for newly built
-/// [`MemSystem`]s (`None` = default). Tests force a tiny threshold so
-/// equivalence suites exercise the parallel path on small workloads.
-pub fn set_parallel_window_min(n: Option<usize>) {
-    PAR_WINDOW_MIN_OVERRIDE.store(n.map_or(0, |v| v + 1), Ordering::Relaxed);
-}
-
-fn cell_jobs() -> usize {
-    match CELL_JOBS_OVERRIDE.load(Ordering::Relaxed) {
-        0 => cell_jobs_env(),
-        n => n,
-    }
-}
-
-fn par_window_min() -> usize {
-    match PAR_WINDOW_MIN_OVERRIDE.load(Ordering::Relaxed) {
-        0 => PAR_WINDOW_MIN_EVENTS,
-        n => n - 1,
-    }
-}
 
 /// An accepted WPQ entry.
 #[derive(Clone, Debug)]
@@ -296,11 +235,10 @@ impl Channel {
 pub struct MemSystem {
     cfg: MemConfig,
     channels: Vec<Channel>,
-    /// One calendar wheel per channel (the channel *is* the simulation
-    /// domain): every internal event belongs to exactly one channel, so
-    /// the frontier over per-wheel cached minima replaces the old global
-    /// wheel scan, and wheels can be advanced independently in parallel.
-    events: DomainWheels<ChEvent>,
+    /// Every pending internal event, tagged with the channel it belongs
+    /// to. One wheel for all channels: events pop in global
+    /// `(time, insertion-seq)` order.
+    events: EventQueue<(u32, ChEvent)>,
     out: VecDeque<MemEvent>,
     next_id: u64,
     stats: Stats,
@@ -308,30 +246,13 @@ pub struct MemSystem {
     /// PM media writes per line, kept only when telemetry asks for the
     /// hottest-lines table (`None` = tracking off, zero overhead).
     line_writes: Option<AddrMap<LineAddr, u64>>,
-    /// Worker threads for parallel advance windows (1 = always serial).
-    cell_jobs: usize,
-    /// Event-population threshold below which windows stay serial.
-    par_min: usize,
-    /// Per-channel worker buffers, reused across parallel windows.
-    scratch: Vec<WindowScratch>,
-    /// Events handled per channel (serial and parallel paths).
-    domain_events: Vec<u64>,
-    /// Advance windows that engaged the parallel path.
-    par_windows: u64,
-    /// [`MemEvent`]s merged across the domain → machine boundary by
-    /// parallel windows (the cross-domain exchange volume).
-    exchange_events: u64,
-    /// Host nanoseconds spent in the serial replay merge — time the
-    /// frontier is stalled waiting on sequencing rather than simulating.
-    frontier_stall_ns: u64,
+    /// Events handled per channel (host metrics only, never on stdout).
+    channel_events: Vec<u64>,
 }
 
 /// Snapshot support: a clone carries every piece of simulation state —
-/// channels (WPQ, pending, forward index + node arenas), calendar wheels,
-/// the out queue, stats, trace, and hot-line counts — bit-exactly.
-/// `scratch` is the one exception: it is worker-local buffer space,
-/// cleared at the start of every parallel window, so clones get fresh
-/// (empty) buffers of the right arity instead of copying dead data.
+/// channels (WPQ, pending, forward index + node arenas), the calendar
+/// wheel, the out queue, stats, trace, and hot-line counts — bit-exactly.
 impl Clone for MemSystem {
     fn clone(&self) -> Self {
         MemSystem {
@@ -343,17 +264,7 @@ impl Clone for MemSystem {
             stats: self.stats.clone(),
             trace: self.trace.clone(),
             line_writes: self.line_writes.clone(),
-            cell_jobs: self.cell_jobs,
-            par_min: self.par_min,
-            scratch: self
-                .scratch
-                .iter()
-                .map(|_| WindowScratch::default())
-                .collect(),
-            domain_events: self.domain_events.clone(),
-            par_windows: self.par_windows,
-            exchange_events: self.exchange_events,
-            frontier_stall_ns: self.frontier_stall_ns,
+            channel_events: self.channel_events.clone(),
         }
     }
 
@@ -369,19 +280,7 @@ impl Clone for MemSystem {
         self.stats.clone_from(&src.stats);
         self.trace.clone_from(&src.trace);
         self.line_writes.clone_from(&src.line_writes);
-        self.cell_jobs = src.cell_jobs;
-        self.par_min = src.par_min;
-        if self.scratch.len() != src.scratch.len() {
-            self.scratch = src
-                .scratch
-                .iter()
-                .map(|_| WindowScratch::default())
-                .collect();
-        }
-        self.domain_events.clone_from(&src.domain_events);
-        self.par_windows = src.par_windows;
-        self.exchange_events = src.exchange_events;
-        self.frontier_stall_ns = src.frontier_stall_ns;
+        self.channel_events.clone_from(&src.channel_events);
     }
 }
 
@@ -389,25 +288,19 @@ impl MemSystem {
     /// Builds the memory system from a full system configuration.
     pub fn new(cfg: &asap_sim::SystemConfig) -> Self {
         let mem = cfg.mem;
-        let n = mem.num_channels();
+        let n = mem.num_channels() as usize;
         MemSystem {
             cfg: mem,
             channels: (0..n)
                 .map(|_| Channel::new(mem.wpq_entries as usize))
                 .collect(),
-            events: DomainWheels::new(n as usize),
+            events: EventQueue::new(),
             out: VecDeque::new(),
             next_id: 0,
             stats: Stats::new(),
             trace: Trace::disabled(),
             line_writes: None,
-            cell_jobs: cell_jobs(),
-            par_min: par_window_min(),
-            scratch: (0..n).map(|_| WindowScratch::default()).collect(),
-            domain_events: vec![0; n as usize],
-            par_windows: 0,
-            exchange_events: 0,
-            frontier_stall_ns: 0,
+            channel_events: vec![0; n],
         }
     }
 
@@ -454,9 +347,8 @@ impl MemSystem {
         self.stats.bump(submit_counter(op.kind));
         self.channels[ch as usize].index(op.target, id, op.data);
         self.events.push(
-            ch,
             now + self.cfg.mc_hop_latency,
-            ChEvent::Arrive(id, op, now),
+            (ch, ChEvent::Arrive(id, op, now)),
         );
         id
     }
@@ -496,25 +388,10 @@ impl MemSystem {
 
     /// Advances internal channel state to `now`, applying media writes to
     /// `image` and queueing [`MemEvent`]s for [`pop_event`](Self::pop_event).
-    ///
-    /// Large windows are farmed out to `ASAP_CELL_JOBS` worker threads
-    /// (one group of channels each) and stitched back together by a
-    /// deterministic replay merge — the result is bit-identical to the
-    /// serial schedule (see `DESIGN.md` §12). The machine is quiescent for
-    /// the whole window and channels never talk to each other, so the
-    /// conservative lookahead is the full window.
     pub fn advance_to(&mut self, now: Cycle, image: &mut MemoryImage) {
-        if self.cell_jobs > 1
-            && self.channels.len() > 1
-            && !self.trace.enabled()
-            && self.events.len() >= self.par_min
-            && self.events.peek_time().is_some_and(|t| t <= now)
-        {
-            self.advance_window_parallel(now, image);
-        }
-        while let Some((ch, t, ev)) = self.events.pop_until(now) {
-            self.domain_events[ch as usize] += 1;
-            self.handle(t, ch as usize, ev, image);
+        while let Some((t, (ch, ev))) = self.events.pop_until(now) {
+            self.channel_events[ch as usize] += 1;
+            self.handle(t, ch, ev, image);
         }
     }
 
@@ -538,181 +415,120 @@ impl MemSystem {
                 .all(|c| c.wpq.is_empty() && c.pending.is_empty() && c.writing.is_none())
     }
 
-    /// Serial event dispatch: effects go straight to the global state.
-    fn handle(&mut self, t: Cycle, ch_idx: usize, ev: ChEvent, image: &mut MemoryImage) {
-        let mut fx = DirectFx {
-            out: &mut self.out,
-            image: Some(image),
-            stats: &mut self.stats,
-            hot: self.line_writes.as_mut(),
-            trace: &mut self.trace,
-            events: &mut self.events,
-            domain: ch_idx as u32,
-        };
-        handle_ch(
-            &self.cfg,
-            ch_idx as u32,
-            &mut self.channels[ch_idx],
-            &mut fx,
-            t,
-            ev,
-        );
+    /// Handles one channel event.
+    fn handle(&mut self, t: Cycle, ch: u32, ev: ChEvent, image: &mut MemoryImage) {
+        match ev {
+            ChEvent::Arrive(id, op, submitted) => {
+                let c = &mut self.channels[ch as usize];
+                if c.has_free_slot() {
+                    self.accept(t, ch, id, op, submitted);
+                } else {
+                    c.pending.push_back((id, op, submitted));
+                    self.stats.bump("mem.wpq.full_arrival");
+                }
+                self.maybe_start_write(t, ch);
+            }
+            ChEvent::WriteDone(id) => {
+                let c = &mut self.channels[ch as usize];
+                debug_assert_eq!(c.writing, Some(id), "write-done for wrong op");
+                c.writing = None;
+                let slot = c.wpq.pop_front().expect("in-flight slot missing");
+                debug_assert_eq!(slot.id, id, "in-flight slot must be the front");
+                c.unindex(slot.op.target, slot.id);
+                image.write_line(slot.op.target, &slot.op.data);
+                self.stats.bump(pm_write_counter(slot.op.kind));
+                self.stats.bump("pm.write.total");
+                if let Some(map) = &mut self.line_writes {
+                    *map.entry(slot.op.target).or_insert(0) += 1;
+                }
+                let residency = t.since(slot.accepted_at);
+                self.stats.sample("mem.wpq.residency_cycles", residency);
+                self.trace.emit(
+                    t,
+                    ch,
+                    TraceEvent::WpqDrain {
+                        channel: ch,
+                        kind: slot.op.kind.name(),
+                        residency,
+                    },
+                );
+                self.out.push_back(MemEvent::PmWritten {
+                    id: slot.id,
+                    op: slot.op,
+                    at: t,
+                });
+                // A slot freed: accept the oldest pending arrival, if any.
+                if let Some((pid, pop, psub)) = self.channels[ch as usize].pending.pop_front() {
+                    self.accept(t, ch, pid, pop, psub);
+                }
+                self.maybe_start_write(t, ch);
+            }
+            ChEvent::DrainCheck => self.maybe_start_write(t, ch),
+        }
     }
 
-    /// Serial acceptance outside an advance window (drop-refill path; never
-    /// writes media, so no image is needed).
-    fn accept_serial(
-        &mut self,
-        t: Cycle,
-        ch_idx: usize,
-        id: OpId,
-        op: PersistOp,
-        submitted: Cycle,
-    ) {
-        let mut fx = DirectFx {
-            out: &mut self.out,
-            image: None,
-            stats: &mut self.stats,
-            hot: self.line_writes.as_mut(),
-            trace: &mut self.trace,
-            events: &mut self.events,
-            domain: ch_idx as u32,
-        };
-        accept_ch(
-            &self.cfg,
-            ch_idx as u32,
-            &mut self.channels[ch_idx],
-            &mut fx,
-            t,
+    /// Accepts an op into channel `ch`'s WPQ — the §4.1 durability point.
+    fn accept(&mut self, t: Cycle, ch: u32, id: OpId, op: PersistOp, submitted: Cycle) {
+        let c = &mut self.channels[ch as usize];
+        debug_assert!(c.has_free_slot());
+        let seq = c.next_seq;
+        c.next_seq += 1;
+        c.wpq.push_back(WpqSlot {
             id,
             op,
-            submitted,
+            seq,
+            accepted_at: t,
+        });
+        self.stats.sample("mem.wpq.occupancy", c.wpq.len() as u64);
+        // Persist latency: submit to persistence-domain acceptance (the
+        // durability point under ADR, §4.1).
+        self.stats.sample("mem.persist.latency", t.since(submitted));
+        self.trace.emit(
+            t,
+            ch,
+            TraceEvent::WpqAccept {
+                channel: ch,
+                kind: op.kind.name(),
+            },
         );
+        if self.cfg.wpq_residency > 0 {
+            // Lazy drain: revisit this entry when its residency expires.
+            self.events
+                .push(t + self.cfg.wpq_residency, (ch, ChEvent::DrainCheck));
+        }
+        self.out.push_back(MemEvent::Accepted {
+            id,
+            op,
+            at: t,
+            ack_at: t + self.cfg.mc_hop_latency,
+        });
     }
 
-    /// Drains every channel's window `(frontier, now]` on worker threads,
-    /// then replays the recorded per-channel schedules through a serial
-    /// merge that reconstructs the exact global `(time, seq)` order — the
-    /// out-event stream, image writes, statistics, and the seq numbers of
-    /// surviving scheduled events all come out bit-identical to the serial
-    /// path (the correctness argument lives in `DESIGN.md` §12).
-    fn advance_window_parallel(&mut self, now: Cycle, image: &mut MemoryImage) {
-        self.par_windows += 1;
-        let seq_base = self.events.seq();
-        let nch = self.channels.len();
-        let jobs = self.cell_jobs.min(nch).max(1);
-        let chunk = nch.div_ceil(jobs);
-        let cfg = self.cfg;
-        let hot_on = self.line_writes.is_some();
-        let wheels = self.events.wheels_mut();
-        std::thread::scope(|scope| {
-            let mut first = None;
-            let mut handles = Vec::with_capacity(jobs.saturating_sub(1));
-            let groups = self
-                .channels
-                .chunks_mut(chunk)
-                .zip(wheels.chunks_mut(chunk))
-                .zip(self.scratch.chunks_mut(chunk));
-            for (gi, ((chs, whs), scs)) in groups.enumerate() {
-                let base = gi * chunk;
-                let job = move || {
-                    for (j, ((ch, wheel), sc)) in chs
-                        .iter_mut()
-                        .zip(whs.iter_mut())
-                        .zip(scs.iter_mut())
-                        .enumerate()
-                    {
-                        run_channel_window(
-                            &cfg,
-                            (base + j) as u32,
-                            ch,
-                            wheel,
-                            sc,
-                            seq_base,
-                            now,
-                            hot_on,
-                        );
-                    }
-                };
-                if gi == 0 {
-                    first = Some(job);
-                } else {
-                    handles.push(scope.spawn(job));
-                }
-            }
-            // The first group runs on this thread while the others work.
-            if let Some(mut job) = first {
-                job();
-            }
-            for h in handles {
-                h.join().expect("window worker panicked");
-            }
-        });
-        // Replay merge: repeatedly take the channel whose head record has
-        // the smallest (time, final seq) key. A head's final seq is always
-        // known — pre-window events carry their real seq, and a
-        // window-born event's seq was assigned when its parent (same
-        // channel, strictly earlier) merged.
-        let merge_start = Instant::now();
-        let total: usize = self.scratch.iter().map(|s| s.recs.len()).sum();
-        let mut next_seq = seq_base;
-        let mut heads = vec![0usize; nch];
-        let mut out_cur = vec![0usize; nch];
-        let mut img_cur = vec![0usize; nch];
-        for _ in 0..total {
-            let mut best: Option<(Cycle, u64, usize)> = None;
-            for (c, sc) in self.scratch.iter().enumerate() {
-                if let Some(r) = sc.recs.get(heads[c]) {
-                    let fseq = if r.seq < seq_base {
-                        r.seq
-                    } else {
-                        sc.final_seqs[(r.seq - seq_base) as usize]
-                    };
-                    debug_assert_ne!(fseq, u64::MAX, "head's final seq must be assigned");
-                    if best.is_none_or(|(bat, bseq, _)| (r.at, fseq) < (bat, bseq)) {
-                        best = Some((r.at, fseq, c));
-                    }
-                }
-            }
-            let (_, _, c) = best.expect("merge ran out of records early");
-            let r = self.scratch[c].recs[heads[c]];
-            heads[c] += 1;
-            {
-                let sc = &mut self.scratch[c];
-                for k in 0..u32::from(r.pushes) {
-                    sc.final_seqs[(r.first_prov + k) as usize] = next_seq;
-                    next_seq += 1;
-                }
-            }
-            for _ in 0..r.outs {
-                let ev = self.scratch[c].outs[out_cur[c]].clone();
-                self.out.push_back(ev);
-                out_cur[c] += 1;
-            }
-            self.exchange_events += u64::from(r.outs);
-            for _ in 0..r.imgs {
-                let (line, data) = self.scratch[c].imgs[img_cur[c]];
-                image.write_line(line, &data);
-                img_cur[c] += 1;
-            }
+    /// Starts draining channel `ch` if warranted: always when an entry is
+    /// past its residency window or the queue is above the watermark;
+    /// immediately when residency is 0 (eager mode).
+    fn maybe_start_write(&mut self, t: Cycle, ch: u32) {
+        let c = &mut self.channels[ch as usize];
+        if c.writing.is_some() {
+            return;
         }
-        // Survivors (scheduled past `now`) get their provisional seqs
-        // rewritten to the merged assignment; side stats fold in per
-        // channel (exact, order-independent merges).
-        let wheels = self.events.wheels_mut();
-        for (c, sc) in self.scratch.iter_mut().enumerate() {
-            wheels[c].remap_seqs(seq_base, &sc.final_seqs);
-            self.domain_events[c] += sc.recs.len() as u64;
-            self.stats.merge(&sc.stats);
-            if let Some(map) = &mut self.line_writes {
-                for (line, n) in sc.hot.iter() {
-                    *map.entry(*line).or_insert(0) += *n;
-                }
-            }
-            sc.clear();
+        // No write in flight, so the oldest (minimum-seq) entry is the
+        // front of the seq-ordered queue.
+        let Some(slot) = c.wpq.front() else {
+            return;
+        };
+        let residency = self.cfg.wpq_residency;
+        let due = residency == 0
+            || c.wpq.len() >= self.cfg.wpq_drain_watermark as usize
+            || slot.accepted_at + residency <= t;
+        if due {
+            let id = slot.id;
+            c.writing = Some(id);
+            self.events.push(
+                t + self.cfg.pm_write_service(),
+                (ch, ChEvent::WriteDone(id)),
+            );
         }
-        self.events.set_seq(next_seq);
-        self.frontier_stall_ns += merge_start.elapsed().as_nanos() as u64;
     }
 
     /// Drops a committed region's log writes (LPOs and log headers) still
@@ -769,7 +585,7 @@ impl MemSystem {
                     // the earliest pending event or zero. The scheme only
                     // cares about ordering, which is preserved.
                     let t = self.events.peek_time().unwrap_or(Cycle::ZERO);
-                    self.accept_serial(t, ch_idx, pid, pop, psub);
+                    self.accept(t, ch_idx as u32, pid, pop, psub);
                 }
                 None => break,
             }
@@ -804,7 +620,7 @@ impl MemSystem {
         // Ops still travelling to their controller (unprocessed arrival
         // events) never reached the persistence domain either.
         let mut on_the_wire = 0;
-        while let Some((_, _, ev)) = self.events.pop() {
+        while let Some((_, (_, ev))) = self.events.pop() {
             if matches!(ev, ChEvent::Arrive(..)) {
                 on_the_wire += 1;
             }
@@ -844,37 +660,15 @@ impl MemSystem {
             .unwrap_or(0)
     }
 
-    /// Sparse-tail full scans performed by the channel event calendars
-    /// (see [`EventQueue::full_scans`]), summed across domains.
+    /// Sparse-tail full scans performed by the event calendar (see
+    /// [`EventQueue::full_scans`]).
     pub fn calendar_full_scans(&self) -> u64 {
         self.events.full_scans()
     }
 
-    /// Host-side domain metrics for the observability bus: per-channel
-    /// handled-event counts, parallel windows taken, cross-domain exchange
-    /// volume (out-events merged by parallel windows), and frontier-stall
-    /// nanoseconds (host time in the replay merge).
-    pub fn domain_metrics(&self) -> (&[u64], u64, u64, u64) {
-        (
-            &self.domain_events,
-            self.par_windows,
-            self.exchange_events,
-            self.frontier_stall_ns,
-        )
-    }
-
-    /// The configured intra-cell worker count (`ASAP_CELL_JOBS`).
-    pub fn cell_jobs(&self) -> usize {
-        self.cell_jobs
-    }
-
-    /// Forces the parallel path for this instance (unit tests; the
-    /// process-global knobs stay untouched so concurrent tests are not
-    /// affected).
-    #[cfg(test)]
-    fn force_parallel(&mut self, jobs: usize, window_min: usize) {
-        self.cell_jobs = jobs;
-        self.par_min = window_min;
+    /// Events handled so far, per channel (host metrics only).
+    pub fn channel_events(&self) -> &[u64] {
+        &self.channel_events
     }
 
     /// Counts DRAM traffic for a dirty non-PM writeback (fire-and-forget:
@@ -892,333 +686,6 @@ impl std::fmt::Debug for MemSystem {
             .field("pending_events", &self.events.len())
             .finish()
     }
-}
-
-/// Effect sink for the per-channel event handler. The channel semantics
-/// live once in [`handle_ch`]/[`accept_ch`]/[`maybe_start_write_ch`],
-/// generic over this trait: the serial path ([`DirectFx`]) applies effects
-/// straight to the simulator's global state, the parallel path
-/// ([`WindowFx`]) buffers them per channel for the deterministic replay
-/// merge. Monomorphization keeps both paths branch-free.
-trait ChannelFx {
-    /// Emits an externally visible memory event.
-    fn emit(&mut self, ev: MemEvent);
-    /// Applies a PM media write.
-    fn write_line(&mut self, line: LineAddr, data: &[u8; 64]);
-    /// The statistics registry effects are recorded against.
-    fn stats(&mut self) -> &mut Stats;
-    /// Counts a media write against the hottest-lines table, if tracking.
-    fn hot_line(&mut self, line: LineAddr);
-    /// Records a trace event (parallel windows require tracing off).
-    fn trace(&mut self, at: Cycle, ev: TraceEvent);
-    /// Schedules a follow-up event on this channel's wheel, drawing the
-    /// next sequence number in this sink's lane (the shared global counter
-    /// serially; provisional window numbering in parallel workers).
-    fn push_event(&mut self, at: Cycle, ev: ChEvent);
-}
-
-/// Serial sink: effects land directly on the [`MemSystem`] fields.
-struct DirectFx<'a> {
-    out: &'a mut VecDeque<MemEvent>,
-    /// `None` only on the drop-refill acceptance path, which never writes
-    /// media.
-    image: Option<&'a mut MemoryImage>,
-    stats: &'a mut Stats,
-    hot: Option<&'a mut AddrMap<LineAddr, u64>>,
-    trace: &'a mut Trace,
-    /// The whole partitioned queue, not a single lane: pushing through
-    /// [`DomainWheels::push`] keeps the frontier/count memos valid across
-    /// dispatch instead of invalidating them on every handled event.
-    events: &'a mut DomainWheels<ChEvent>,
-    domain: u32,
-}
-
-impl ChannelFx for DirectFx<'_> {
-    fn emit(&mut self, ev: MemEvent) {
-        self.out.push_back(ev);
-    }
-
-    fn write_line(&mut self, line: LineAddr, data: &[u8; 64]) {
-        self.image
-            .as_mut()
-            .expect("media write outside an advance window")
-            .write_line(line, data);
-    }
-
-    fn stats(&mut self) -> &mut Stats {
-        self.stats
-    }
-
-    fn hot_line(&mut self, line: LineAddr) {
-        if let Some(map) = self.hot.as_mut() {
-            *map.entry(line).or_insert(0) += 1;
-        }
-    }
-
-    fn trace(&mut self, at: Cycle, ev: TraceEvent) {
-        self.trace.emit(at, self.domain, ev);
-    }
-
-    fn push_event(&mut self, at: Cycle, ev: ChEvent) {
-        self.events.push(self.domain, at, ev);
-    }
-}
-
-/// One handled event in a parallel window: where its buffered effects live
-/// and which sequence numbers it spawned, so the replay merge can
-/// reconstruct the serial global order.
-#[derive(Clone, Copy)]
-struct WindowRec {
-    at: Cycle,
-    /// The handled event's own seq — real (`< seq_base`) for events that
-    /// predate the window, provisional otherwise.
-    seq: u64,
-    /// First provisional id this event's pushes received.
-    first_prov: u32,
-    /// How many events it pushed.
-    pushes: u16,
-    /// How many [`MemEvent`]s it emitted.
-    outs: u16,
-    /// How many media writes it performed.
-    imgs: u16,
-}
-
-/// Per-channel worker buffers for one parallel window, reused across
-/// windows (cleared, capacity kept).
-#[derive(Default)]
-struct WindowScratch {
-    recs: Vec<WindowRec>,
-    outs: Vec<MemEvent>,
-    imgs: Vec<(LineAddr, [u8; 64])>,
-    stats: Stats,
-    hot: AddrMap<LineAddr, u64>,
-    /// Provisional seq ids handed out so far (dense from 0).
-    prov: u32,
-    /// Provisional id → final global seq, filled during the replay merge.
-    final_seqs: Vec<u64>,
-}
-
-impl WindowScratch {
-    fn clear(&mut self) {
-        self.recs.clear();
-        self.outs.clear();
-        self.imgs.clear();
-        self.stats = Stats::new();
-        self.hot.clear();
-        self.prov = 0;
-        self.final_seqs.clear();
-    }
-}
-
-/// Parallel-worker sink: buffers every effect in the channel's
-/// [`WindowScratch`]. Pushed events get provisional seqs `seq_base + n`,
-/// which order correctly against pre-window seqs (all `< seq_base`) and
-/// against each other (birth order) within the channel.
-struct WindowFx<'a> {
-    outs: &'a mut Vec<MemEvent>,
-    imgs: &'a mut Vec<(LineAddr, [u8; 64])>,
-    stats: &'a mut Stats,
-    hot: Option<&'a mut AddrMap<LineAddr, u64>>,
-    wheel: &'a mut EventQueue<ChEvent>,
-    seq_base: u64,
-    prov: &'a mut u32,
-}
-
-impl ChannelFx for WindowFx<'_> {
-    fn emit(&mut self, ev: MemEvent) {
-        self.outs.push(ev);
-    }
-
-    fn write_line(&mut self, line: LineAddr, data: &[u8; 64]) {
-        self.imgs.push((line, *data));
-    }
-
-    fn stats(&mut self) -> &mut Stats {
-        self.stats
-    }
-
-    fn hot_line(&mut self, line: LineAddr) {
-        if let Some(map) = self.hot.as_mut() {
-            *map.entry(line).or_insert(0) += 1;
-        }
-    }
-
-    fn trace(&mut self, _at: Cycle, _ev: TraceEvent) {
-        // Dropped: the parallel gate requires tracing disabled, so the
-        // serial path would have discarded this record too.
-    }
-
-    fn push_event(&mut self, at: Cycle, ev: ChEvent) {
-        let seq = self.seq_base + u64::from(*self.prov);
-        *self.prov += 1;
-        self.wheel.push_with_seq(at, seq, ev);
-    }
-}
-
-/// Handles one channel event. Shared by the serial and parallel paths via
-/// the [`ChannelFx`] sink.
-fn handle_ch<FX: ChannelFx>(
-    cfg: &MemConfig,
-    ch_idx: u32,
-    ch: &mut Channel,
-    fx: &mut FX,
-    t: Cycle,
-    ev: ChEvent,
-) {
-    match ev {
-        ChEvent::Arrive(id, op, submitted) => {
-            if ch.has_free_slot() {
-                accept_ch(cfg, ch_idx, ch, fx, t, id, op, submitted);
-            } else {
-                ch.pending.push_back((id, op, submitted));
-                fx.stats().bump("mem.wpq.full_arrival");
-            }
-            maybe_start_write_ch(cfg, ch, fx, t);
-        }
-        ChEvent::WriteDone(id) => {
-            debug_assert_eq!(ch.writing, Some(id), "write-done for wrong op");
-            ch.writing = None;
-            let slot = ch.wpq.pop_front().expect("in-flight slot missing");
-            debug_assert_eq!(slot.id, id, "in-flight slot must be the front");
-            ch.unindex(slot.op.target, slot.id);
-            fx.write_line(slot.op.target, &slot.op.data);
-            fx.stats().bump(pm_write_counter(slot.op.kind));
-            fx.stats().bump("pm.write.total");
-            fx.hot_line(slot.op.target);
-            let residency = t.since(slot.accepted_at);
-            fx.stats().sample("mem.wpq.residency_cycles", residency);
-            fx.trace(
-                t,
-                TraceEvent::WpqDrain {
-                    channel: ch_idx,
-                    kind: slot.op.kind.name(),
-                    residency,
-                },
-            );
-            fx.emit(MemEvent::PmWritten {
-                id: slot.id,
-                op: slot.op,
-                at: t,
-            });
-            // A slot freed: accept the oldest pending arrival, if any.
-            if let Some((pid, pop, psub)) = ch.pending.pop_front() {
-                accept_ch(cfg, ch_idx, ch, fx, t, pid, pop, psub);
-            }
-            maybe_start_write_ch(cfg, ch, fx, t);
-        }
-        ChEvent::DrainCheck => {
-            maybe_start_write_ch(cfg, ch, fx, t);
-        }
-    }
-}
-
-/// Accepts an op into the channel's WPQ — the §4.1 durability point.
-#[allow(clippy::too_many_arguments)]
-fn accept_ch<FX: ChannelFx>(
-    cfg: &MemConfig,
-    ch_idx: u32,
-    ch: &mut Channel,
-    fx: &mut FX,
-    t: Cycle,
-    id: OpId,
-    op: PersistOp,
-    submitted: Cycle,
-) {
-    debug_assert!(ch.has_free_slot());
-    let seq = ch.next_seq;
-    ch.next_seq += 1;
-    ch.wpq.push_back(WpqSlot {
-        id,
-        op,
-        seq,
-        accepted_at: t,
-    });
-    fx.stats().sample("mem.wpq.occupancy", ch.wpq.len() as u64);
-    // Persist latency: submit to persistence-domain acceptance (the
-    // durability point under ADR, §4.1).
-    fx.stats().sample("mem.persist.latency", t.since(submitted));
-    fx.trace(
-        t,
-        TraceEvent::WpqAccept {
-            channel: ch_idx,
-            kind: op.kind.name(),
-        },
-    );
-    if cfg.wpq_residency > 0 {
-        // Lazy drain: revisit this entry when its residency expires.
-        fx.push_event(t + cfg.wpq_residency, ChEvent::DrainCheck);
-    }
-    fx.emit(MemEvent::Accepted {
-        id,
-        op,
-        at: t,
-        ack_at: t + cfg.mc_hop_latency,
-    });
-}
-
-/// Starts draining if warranted: always when an entry is past its
-/// residency window or the queue is above the watermark; immediately
-/// when residency is 0 (eager mode).
-fn maybe_start_write_ch<FX: ChannelFx>(cfg: &MemConfig, ch: &mut Channel, fx: &mut FX, t: Cycle) {
-    if ch.writing.is_some() {
-        return;
-    }
-    // No write in flight, so the oldest (minimum-seq) entry is the
-    // front of the seq-ordered queue.
-    let Some(slot) = ch.wpq.front() else {
-        return;
-    };
-    let residency = cfg.wpq_residency;
-    let due = residency == 0
-        || ch.wpq.len() >= cfg.wpq_drain_watermark as usize
-        || slot.accepted_at + residency <= t;
-    if due {
-        let id = slot.id;
-        ch.writing = Some(id);
-        fx.push_event(t + cfg.pm_write_service(), ChEvent::WriteDone(id));
-    }
-}
-
-/// Drains one channel's events in `(.., now]` into its scratch buffers
-/// (the parallel worker body). Local pop order equals the serial global
-/// order restricted to this channel, because every seq — real or
-/// provisional — compares consistently within the channel.
-#[allow(clippy::too_many_arguments)]
-fn run_channel_window(
-    cfg: &MemConfig,
-    ch_idx: u32,
-    ch: &mut Channel,
-    wheel: &mut EventQueue<ChEvent>,
-    sc: &mut WindowScratch,
-    seq_base: u64,
-    now: Cycle,
-    hot_on: bool,
-) {
-    debug_assert!(sc.recs.is_empty() && sc.prov == 0, "scratch not cleared");
-    while let Some((t, seq, ev)) = wheel.pop_entry_until(now) {
-        let prov0 = sc.prov;
-        let outs0 = sc.outs.len();
-        let imgs0 = sc.imgs.len();
-        let mut fx = WindowFx {
-            outs: &mut sc.outs,
-            imgs: &mut sc.imgs,
-            stats: &mut sc.stats,
-            hot: if hot_on { Some(&mut sc.hot) } else { None },
-            wheel: &mut *wheel,
-            seq_base,
-            prov: &mut sc.prov,
-        };
-        handle_ch(cfg, ch_idx, ch, &mut fx, t, ev);
-        sc.recs.push(WindowRec {
-            at: t,
-            seq,
-            first_prov: prov0,
-            pushes: (sc.prov - prov0) as u16,
-            outs: (sc.outs.len() - outs0) as u16,
-            imgs: (sc.imgs.len() - imgs0) as u16,
-        });
-    }
-    sc.final_seqs.resize(sc.prov as usize, u64::MAX);
 }
 
 #[cfg(test)]
@@ -1639,126 +1106,6 @@ mod tests {
         mem.submit(dpo(pm_line(0), 7, None), Cycle(100));
         let (data, _) = mem.read_for_fill(pm_line(0), &image);
         assert_eq!(data[0], 7);
-    }
-
-    /// Everything observable after a mixed-traffic run: the event stream,
-    /// final stats, hottest lines, touched image contents, and how many
-    /// parallel windows engaged.
-    type TrafficObservables = (Vec<String>, Stats, Vec<(u64, u64)>, Vec<[u8; 64]>, u64);
-
-    /// Drives one MemSystem through a pseudo-random mixed workload —
-    /// bursts, backpressure, lazy drains, LPO/DPO drops — and returns
-    /// every observable output.
-    fn run_mixed_traffic(cfg: &SystemConfig, parallel: Option<usize>) -> TrafficObservables {
-        let mut mem = MemSystem::new(cfg);
-        if let Some(jobs) = parallel {
-            mem.force_parallel(jobs, 0);
-        }
-        mem.set_hot_line_tracking(true);
-        let mut image = MemoryImage::new();
-        let mut events = Vec::new();
-        let mut x = 0x243F_6A88_85A3_08D3u64;
-        let mut step = move || {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            x
-        };
-        let mut t = 0u64;
-        for round in 0..50u64 {
-            for _ in 0..12 {
-                let x = step();
-                let line = pm_line(x >> 58);
-                let kind = match (x >> 32) % 4 {
-                    0 => PersistKind::Lpo,
-                    1 => PersistKind::LogHeader,
-                    2 => PersistKind::WriteBack,
-                    _ => PersistKind::Dpo,
-                };
-                let rid = ((x >> 20) % 3 != 0).then(|| Rid::new(0, 1 + (x >> 16) % 3));
-                mem.submit(PersistOp::new(kind, line, [x as u8; 64], rid), Cycle(t));
-                t += x % 37;
-            }
-            let x = step();
-            t += 100 + x % 300;
-            mem.advance_to(Cycle(t), &mut image);
-            while let Some(e) = mem.pop_event() {
-                events.push(format!("{e:?}"));
-            }
-            if round % 7 == 3 {
-                mem.drop_log_writes_of(Rid::new(0, 1 + round % 3));
-            }
-            if round % 11 == 5 {
-                mem.drop_pending_dpo(pm_line(step() >> 58), Rid::new(0, 1));
-            }
-        }
-        mem.advance_to(Cycle(t + 1_000_000), &mut image);
-        while let Some(e) = mem.pop_event() {
-            events.push(format!("{e:?}"));
-        }
-        assert!(mem.is_idle());
-        let lines = (0..64).map(|i| image.read_line(pm_line(i))).collect();
-        let windows = mem.domain_metrics().1;
-        (
-            events,
-            mem.stats().clone(),
-            mem.hottest_lines(16),
-            lines,
-            windows,
-        )
-    }
-
-    #[test]
-    fn parallel_windows_match_serial_bit_exactly() {
-        let mut cfg = test_cfg();
-        cfg.mem.wpq_entries = 3; // backpressure: pending queues engage
-        let serial = run_mixed_traffic(&cfg, None);
-        for jobs in [2, 4, 7] {
-            let par = run_mixed_traffic(&cfg, Some(jobs));
-            assert!(par.4 > 0, "parallel path must actually engage");
-            assert_eq!(serial.0, par.0, "event stream must be bit-identical");
-            assert_eq!(serial.1, par.1, "stats must be bit-identical");
-            assert_eq!(serial.2, par.2, "hottest lines must match");
-            assert_eq!(serial.3, par.3, "image contents must match");
-        }
-    }
-
-    #[test]
-    fn parallel_windows_match_serial_with_lazy_drain() {
-        let mut cfg = test_cfg();
-        cfg.mem.wpq_residency = 500; // DrainCheck events cross windows
-        cfg.mem.wpq_drain_watermark = 4;
-        let serial = run_mixed_traffic(&cfg, None);
-        let par = run_mixed_traffic(&cfg, Some(4));
-        assert!(par.4 > 0, "parallel path must actually engage");
-        assert_eq!(serial.0, par.0);
-        assert_eq!(serial.1, par.1);
-        assert_eq!(serial.2, par.2);
-        assert_eq!(serial.3, par.3);
-    }
-
-    #[test]
-    fn parallel_window_preserves_crash_flush_state() {
-        // Crash mid-traffic: surviving wheel entries were seq-remapped by
-        // the window merge; the flush must still see every live op.
-        let mut cfg = test_cfg();
-        cfg.mem.wpq_residency = 400;
-        let run = |parallel: Option<usize>| {
-            let mut mem = MemSystem::new(&cfg);
-            if let Some(jobs) = parallel {
-                mem.force_parallel(jobs, 0);
-            }
-            let mut image = MemoryImage::new();
-            for i in 0..40u64 {
-                mem.submit(dpo(pm_line(i % 24), i as u8, None), Cycle(i * 7));
-            }
-            mem.advance_to(Cycle(350), &mut image);
-            while mem.pop_event().is_some() {}
-            mem.flush_to_image(&mut image);
-            let lines: Vec<[u8; 64]> = (0..24).map(|i| image.read_line(pm_line(i))).collect();
-            (lines, mem.stats().clone())
-        };
-        assert_eq!(run(None), run(Some(4)));
     }
 
     #[test]

@@ -284,7 +284,6 @@ impl Default for SystemConfig {
 /// reported instead of silently ignored.
 pub const KNOWN_ASAP_ENV: &[&str] = &[
     "ASAP_BENCHES",
-    "ASAP_CELL_JOBS",
     "ASAP_CRASH_SWEEP",
     "ASAP_DEBUG_RECOVERY",
     "ASAP_EVENTS",

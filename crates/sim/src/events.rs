@@ -70,10 +70,9 @@ pub struct EventQueue<E> {
     /// the common schedule-later-work push keeps the memo warm.
     cached_min: Cell<Option<(u32, u32, Cycle, u64)>>,
     /// One bit per wheel slot, set while the slot's bucket is non-empty.
-    /// Lets [`Self::find_min`] skip runs of empty slots with word scans —
-    /// the per-domain wheels of [`DomainWheels`] are sparser than one
-    /// merged wheel, so walking empties slot-by-slot is what would make
-    /// partitioning a serial loss.
+    /// Lets [`Self::find_min`] skip runs of empty slots with word scans
+    /// instead of walking them one by one: between bursts of memory
+    /// traffic most of the wheel is empty.
     occ: [u64; SLOTS / 64],
     /// How many times [`Self::find_min`] fell back to the sparse-tail
     /// full scan (every pending event more than one wheel revolution
@@ -99,21 +98,10 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `payload` to fire at time `at`.
+    #[inline]
     pub fn push(&mut self, at: Cycle, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.push_with_seq(at, seq, payload);
-    }
-
-    /// Schedules `payload` at `at` with a caller-supplied tie-break
-    /// sequence number, bypassing the queue's own counter. This is the
-    /// seam [`DomainWheels`] uses to keep one *global* insertion order
-    /// across several per-domain wheels: equal-time entries still pop
-    /// lowest-seq first, whatever wheel they live in. Callers own the seq
-    /// discipline — mixing this with [`push`](Self::push) on the same
-    /// queue is only meaningful if the two counters never collide.
-    #[inline]
-    pub fn push_with_seq(&mut self, at: Cycle, seq: u64, payload: E) {
         let abs = at.0 >> BUCKET_SHIFT;
         if self.len == 0 || abs < self.cursor.get() {
             self.cursor.set(abs);
@@ -234,15 +222,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        self.pop_entry().map(|(at, _, payload)| (at, payload))
-    }
-
-    /// Removes and returns the earliest event together with its tie-break
-    /// sequence number (pre-window events keep the global seq they were
-    /// pushed with — the parallel window replay needs it).
     #[inline]
-    pub fn pop_entry(&mut self) -> Option<(Cycle, u64, E)> {
+    pub fn pop(&mut self) -> Option<(Cycle, E)> {
         let (slot, i, _, _) = self.find_min()?;
         self.cached_min.set(None);
         // Within a bucket the minimum is chosen by `(at, seq)`, so the
@@ -252,7 +233,7 @@ impl<E> EventQueue<E> {
             self.occ[(slot >> 6) as usize] &= !(1 << (slot & 63));
         }
         self.len -= 1;
-        Some((e.at, e.seq, e.payload))
+        Some((e.at, e.payload))
     }
 
     /// Removes the earliest event only if it fires at or before `deadline`.
@@ -265,57 +246,15 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// [`pop_until`](Self::pop_until), also returning the entry's seq.
-    #[inline]
-    pub fn pop_entry_until(&mut self, deadline: Cycle) -> Option<(Cycle, u64, E)> {
-        if self.peek_time()? <= deadline {
-            self.pop_entry()
-        } else {
-            None
-        }
-    }
-
     /// Timestamp of the earliest pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<Cycle> {
         self.find_min().map(|(_, _, at, _)| at)
     }
 
-    /// `(time, seq)` ordering key of the earliest pending event, if any.
-    /// Served from the memoized minimum when nothing mutated since the
-    /// last query — this is what makes a min-of-mins frontier over many
-    /// wheels cheap: untouched wheels answer with a `Cell` load.
-    #[inline]
-    pub fn peek_key(&self) -> Option<(Cycle, u64)> {
-        self.find_min().map(|(_, _, at, seq)| (at, seq))
-    }
-
-    /// Rewrites the seq of every entry with `seq >= base` to
-    /// `table[seq - base]`. The parallel window replay uses this to give
-    /// events born inside a window (under provisional per-domain numbers)
-    /// the exact global seqs the serial schedule would have assigned.
-    /// Times are untouched, so the cursor stays valid; the memoized
-    /// minimum is dropped because tie-break order may change.
-    pub fn remap_seqs(&mut self, base: u64, table: &[u64]) {
-        for bucket in &mut self.buckets {
-            for e in bucket {
-                if e.seq >= base {
-                    e.seq = table[(e.seq - base) as usize];
-                }
-            }
-        }
-        self.cached_min.set(None);
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// Iterates over all pending payloads in unspecified order (used for
-    /// state queries such as store-forwarding against in-flight traffic).
-    pub fn iter(&self) -> impl Iterator<Item = &E> {
-        self.buckets.iter().flatten().map(|e| &e.payload)
     }
 
     /// Whether no events are pending.
@@ -342,228 +281,6 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("pending", &self.len)
-            .field("next_at", &self.peek_time())
-            .finish()
-    }
-}
-
-/// A set of per-domain calendar wheels sharing one global insertion order.
-///
-/// Partitioning a simulator's event population by *domain* (for the memory
-/// system: the channel that owns each event) keeps every wheel small and —
-/// more importantly — keeps a pop from invalidating the other domains'
-/// memoized minima. The next event is found by a min-of-mins *frontier*:
-/// each wheel answers `peek_key` from its cached minimum, so the global
-/// minimum costs one `(time, seq)` compare per domain instead of a bucket
-/// scan over the merged population.
-///
-/// Pop order is identical to a single [`EventQueue`] fed the same pushes:
-/// seqs come from one shared counter, so `(time, insertion-seq)` ordering
-/// is global. A proptest in this module drives the partitioned wheels
-/// against the single-wheel oracle to hold that bit-exact.
-///
-/// The per-wheel structure is also the parallel-execution seam: disjoint
-/// `&mut` wheels ([`wheels_mut`](Self::wheels_mut)) let worker threads
-/// drain their own domains concurrently, with
-/// [`EventQueue::push_with_seq`]/[`EventQueue::remap_seqs`] available to
-/// reconstruct the serial seq assignment afterwards.
-#[derive(Clone)]
-pub struct DomainWheels<E> {
-    wheels: Vec<EventQueue<E>>,
-    next_seq: u64,
-    /// Memoized global minimum `(at, seq, domain)`. The simulator's pump
-    /// polls the next event time far more often than it pops, so the
-    /// frontier answer is cached here and served with one load; a pop or
-    /// any direct wheel access drops it, a push only has to *compare*.
-    min_memo: Cell<Option<(Cycle, u64, u32)>>,
-    /// Memoized total event count. The pump polls an *empty* queue just as
-    /// often as a non-empty one (compute phases schedule nothing), and the
-    /// single-wheel queue answered that with one `len` load — this keeps
-    /// the partitioned wheels at parity instead of touching every wheel.
-    /// Maintained by push/pop, dropped by raw wheel access, rebuilt on the
-    /// next query.
-    total_memo: Cell<Option<usize>>,
-}
-
-impl<E> DomainWheels<E> {
-    /// Creates `domains` empty wheels (at least one).
-    pub fn new(domains: usize) -> Self {
-        let mut wheels = Vec::with_capacity(domains.max(1));
-        wheels.resize_with(domains.max(1), EventQueue::new);
-        DomainWheels {
-            wheels,
-            next_seq: 0,
-            min_memo: Cell::new(None),
-            total_memo: Cell::new(Some(0)),
-        }
-    }
-
-    /// Number of domains.
-    pub fn num_domains(&self) -> usize {
-        self.wheels.len()
-    }
-
-    /// Schedules `payload` on `domain`'s wheel at time `at`, drawing the
-    /// next globally ordered sequence number.
-    pub fn push(&mut self, domain: u32, at: Cycle, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        // A later key can't displace a memoized minimum; an earlier one
-        // replaces it in place. (A cold memo stays cold — recomputing is
-        // deferred to the next query.)
-        if let Some((cat, cseq, _)) = self.min_memo.get() {
-            if (at, seq) < (cat, cseq) {
-                self.min_memo.set(Some((at, seq, domain)));
-            }
-        } else if self.total_memo.get() == Some(0) {
-            // Known-empty queue: this entry *is* the global minimum.
-            self.min_memo.set(Some((at, seq, domain)));
-        }
-        if let Some(t) = self.total_memo.get() {
-            self.total_memo.set(Some(t + 1));
-        }
-        self.wheels[domain as usize].push_with_seq(at, seq, payload);
-    }
-
-    /// The frontier: index of the wheel holding the globally earliest
-    /// `(time, seq)` entry.
-    #[inline]
-    fn frontier(&self) -> Option<(Cycle, u64, u32)> {
-        if let Some(hit) = self.min_memo.get() {
-            return Some(hit);
-        }
-        if self.total_memo.get() == Some(0) {
-            return None;
-        }
-        self.frontier_scan()
-    }
-
-    /// Cold half of [`frontier`](Self::frontier): min-of-wheels scan, kept
-    /// out of line so the memo-hit fast path stays inlinable at call sites.
-    #[inline(never)]
-    fn frontier_scan(&self) -> Option<(Cycle, u64, u32)> {
-        let mut best: Option<(Cycle, u64, u32)> = None;
-        for (d, w) in self.wheels.iter().enumerate() {
-            if let Some((at, seq)) = w.peek_key() {
-                if best.is_none_or(|(bat, bseq, _)| (at, seq) < (bat, bseq)) {
-                    best = Some((at, seq, d as u32));
-                }
-            }
-        }
-        if best.is_none() {
-            // The scan proved every wheel empty; re-memoize the count so
-            // repeated polls of an idle queue stay one load.
-            self.total_memo.set(Some(0));
-        }
-        self.min_memo.set(best);
-        best
-    }
-
-    /// Timestamp of the earliest pending event across all domains.
-    #[inline]
-    pub fn peek_time(&self) -> Option<Cycle> {
-        self.frontier().map(|(at, _, _)| at)
-    }
-
-    /// Removes and returns the earliest event as `(domain, time, payload)`.
-    pub fn pop(&mut self) -> Option<(u32, Cycle, E)> {
-        let (_, _, d) = self.frontier()?;
-        self.min_memo.set(None);
-        let (at, _, payload) = self.wheels[d as usize].pop_entry()?;
-        self.note_popped();
-        Some((d, at, payload))
-    }
-
-    /// Removes the earliest event only if it fires at or before `deadline`.
-    #[inline]
-    pub fn pop_until(&mut self, deadline: Cycle) -> Option<(u32, Cycle, E)> {
-        let (at, _, d) = self.frontier()?;
-        if at > deadline {
-            return None;
-        }
-        self.min_memo.set(None);
-        let (at, _, payload) = self.wheels[d as usize].pop_entry()?;
-        self.note_popped();
-        Some((d, at, payload))
-    }
-
-    /// Bookkeeping after removing one entry: decrement the count memo.
-    #[inline]
-    fn note_popped(&self) {
-        if let Some(t) = self.total_memo.get() {
-            self.total_memo.set(Some(t - 1));
-        }
-    }
-
-    /// Total number of pending events across all domains.
-    pub fn len(&self) -> usize {
-        match self.total_memo.get() {
-            Some(t) => t,
-            None => {
-                let t = self.wheels.iter().map(|w| w.len()).sum();
-                self.total_memo.set(Some(t));
-                t
-            }
-        }
-    }
-
-    /// Whether no events are pending in any domain.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Sum of the sparse-tail full scans across all wheels.
-    pub fn full_scans(&self) -> u64 {
-        self.wheels.iter().map(|w| w.full_scans()).sum()
-    }
-
-    /// The next sequence number the shared counter will assign.
-    pub fn seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Advances the shared counter to `seq` (after a parallel window
-    /// assigned `seq - self.seq()` numbers through the replay merge).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` would move the counter backwards — reusing seqs
-    /// breaks the global ordering invariant.
-    pub fn set_seq(&mut self, seq: u64) {
-        assert!(seq >= self.next_seq, "seq counter must not move backwards");
-        self.next_seq = seq;
-    }
-
-    /// Read access to the per-domain wheels.
-    pub fn wheels(&self) -> &[EventQueue<E>] {
-        &self.wheels
-    }
-
-    /// Disjoint mutable access to the per-domain wheels (the parallel
-    /// worker seam; see the type-level docs for the seq discipline).
-    /// Drops the frontier memo — the caller may mutate any wheel.
-    pub fn wheels_mut(&mut self) -> &mut [EventQueue<E>] {
-        self.min_memo.set(None);
-        self.total_memo.set(None);
-        &mut self.wheels
-    }
-
-    /// One domain's wheel together with the shared sequence counter, for
-    /// callers that schedule onto a single domain through a borrow-split
-    /// (`wheel.push_with_seq(at, *seq, ev); *seq += 1;` is equivalent to
-    /// [`push`](Self::push)). Drops the frontier memo.
-    pub fn lane_mut(&mut self, domain: u32) -> (&mut EventQueue<E>, &mut u64) {
-        self.min_memo.set(None);
-        self.total_memo.set(None);
-        (&mut self.wheels[domain as usize], &mut self.next_seq)
-    }
-}
-
-impl<E> std::fmt::Debug for DomainWheels<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DomainWheels")
-            .field("domains", &self.wheels.len())
-            .field("pending", &self.len())
             .field("next_at", &self.peek_time())
             .finish()
     }
@@ -626,18 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_sees_all_pending() {
-        let mut q = EventQueue::new();
-        q.push(Cycle(5), 'a');
-        q.push(Cycle(1), 'b');
-        let mut all: Vec<char> = q.iter().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, ['a', 'b']);
-        q.pop();
-        assert_eq!(q.iter().count(), 1);
-    }
-
-    #[test]
     fn debug_nonempty() {
         let mut q = EventQueue::new();
         q.push(Cycle(1), ());
@@ -691,77 +396,6 @@ mod tests {
         q.push(Cycle(1), 'a');
         assert_eq!(q.pop(), Some((Cycle(1), 'a')));
         assert_eq!(q.pop(), Some((Cycle(10_000), 'z')));
-    }
-
-    #[test]
-    fn domain_wheels_pop_in_global_order() {
-        let mut q: DomainWheels<char> = DomainWheels::new(3);
-        q.push(0, Cycle(30), 'c');
-        q.push(2, Cycle(10), 'a');
-        q.push(1, Cycle(20), 'b');
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_time(), Some(Cycle(10)));
-        assert_eq!(q.pop(), Some((2, Cycle(10), 'a')));
-        assert_eq!(q.pop(), Some((1, Cycle(20), 'b')));
-        assert_eq!(q.pop(), Some((0, Cycle(30), 'c')));
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn domain_wheels_break_cross_domain_ties_by_insertion() {
-        let mut q: DomainWheels<u32> = DomainWheels::new(2);
-        // Same cycle, alternating domains: global push order must win.
-        for i in 0..10u32 {
-            q.push(i % 2, Cycle(5), i);
-        }
-        for i in 0..10u32 {
-            assert_eq!(q.pop(), Some((i % 2, Cycle(5), i)));
-        }
-    }
-
-    #[test]
-    fn domain_wheels_pop_until_respects_deadline() {
-        let mut q: DomainWheels<char> = DomainWheels::new(2);
-        q.push(0, Cycle(10), 'a');
-        q.push(1, Cycle(20), 'b');
-        assert_eq!(q.pop_until(Cycle(15)), Some((0, Cycle(10), 'a')));
-        assert_eq!(q.pop_until(Cycle(15)), None);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn domain_wheels_seq_counter_is_shared_and_monotone() {
-        let mut q: DomainWheels<()> = DomainWheels::new(2);
-        assert_eq!(q.seq(), 0);
-        q.push(0, Cycle(1), ());
-        q.push(1, Cycle(1), ());
-        assert_eq!(q.seq(), 2);
-        q.set_seq(10);
-        assert_eq!(q.seq(), 10);
-        assert!(format!("{q:?}").contains("DomainWheels"));
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn domain_wheels_seq_cannot_rewind() {
-        let mut q: DomainWheels<()> = DomainWheels::new(1);
-        q.push(0, Cycle(1), ());
-        q.set_seq(0);
-    }
-
-    #[test]
-    fn remap_seqs_reorders_ties() {
-        let mut q: EventQueue<char> = EventQueue::new();
-        // Provisional seqs 100/101 pushed in the "wrong" order relative to
-        // the serial schedule; the remap swaps them.
-        q.push_with_seq(Cycle(5), 100, 'x');
-        q.push_with_seq(Cycle(5), 101, 'y');
-        q.push_with_seq(Cycle(5), 7, 'z'); // pre-window seq, untouched
-        q.remap_seqs(100, &[9, 8]);
-        assert_eq!(q.pop(), Some((Cycle(5), 'z')));
-        assert_eq!(q.pop(), Some((Cycle(5), 'y')));
-        assert_eq!(q.pop(), Some((Cycle(5), 'x')));
     }
 
     /// The original heap-based queue, kept as the ordering oracle for the
@@ -836,7 +470,7 @@ mod tests {
 
     mod prop {
         use super::reference::HeapQueue;
-        use super::{Cycle, DomainWheels, EventQueue, BUCKET_SHIFT, SLOTS};
+        use super::{Cycle, EventQueue, BUCKET_SHIFT, SLOTS};
         use proptest::prelude::*;
 
         #[derive(Clone, Debug)]
@@ -917,59 +551,6 @@ mod tests {
                 }
                 prop_assert_eq!(heap.pop(), None);
                 prop_assert!(cal.is_empty());
-            }
-
-            /// Domain-partitioned wheels must emit the same `(cycle,
-            /// payload)` sequence as one wheel fed the same pushes —
-            /// through same-cycle bursts landing across domains,
-            /// far-future jumps, and arbitrary cross-domain
-            /// interleavings. The frontier min-of-mins is the only thing
-            /// standing between the partitions and the global order.
-            #[test]
-            fn domain_wheels_match_single_wheel(
-                ops in proptest::collection::vec(op_strategy(), 1..200),
-                domains in 1usize..5,
-            ) {
-                let mut part: DomainWheels<u32> = DomainWheels::new(domains);
-                let mut single: EventQueue<u32> = EventQueue::new();
-                let mut payload = 0u32;
-                // Deterministic round-robin domain assignment: bursts
-                // spread consecutive same-cycle events across domains.
-                let dom = |p: u32| (p as usize % domains) as u32;
-                for op in &ops {
-                    match *op {
-                        Op::Push(at) => {
-                            part.push(dom(payload), Cycle(at), payload);
-                            single.push(Cycle(at), payload);
-                            payload += 1;
-                        }
-                        Op::Burst(at, n) => {
-                            for _ in 0..n {
-                                part.push(dom(payload), Cycle(at), payload);
-                                single.push(Cycle(at), payload);
-                                payload += 1;
-                            }
-                        }
-                        Op::Pop => {
-                            let got = part.pop().map(|(_, at, p)| (at, p));
-                            prop_assert_eq!(got, single.pop());
-                        }
-                        Op::PopUntil(deadline) => {
-                            let got = part.pop_until(Cycle(deadline)).map(|(_, at, p)| (at, p));
-                            prop_assert_eq!(got, single.pop_until(Cycle(deadline)));
-                        }
-                    }
-                    prop_assert_eq!(part.peek_time(), single.peek_time());
-                    prop_assert_eq!(part.len(), single.len());
-                }
-                while let Some((d, at, p)) = part.pop() {
-                    // The winning domain must be the one the payload was
-                    // assigned to — the frontier may not cross wheels.
-                    prop_assert_eq!(d, dom(p));
-                    prop_assert_eq!(Some((at, p)), single.pop());
-                }
-                prop_assert_eq!(single.pop(), None);
-                prop_assert!(part.is_empty());
             }
         }
     }

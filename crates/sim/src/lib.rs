@@ -48,7 +48,7 @@ pub use clock::Cycle;
 pub use config::{
     warn_unknown_asap_env, AsapConfig, CacheConfig, MemConfig, SystemConfig, KNOWN_ASAP_ENV,
 };
-pub use events::{DomainWheels, EventQueue};
+pub use events::EventQueue;
 pub use fingerprint::{Canon, Fingerprint};
 pub use lock::VirtualLock;
 pub use sched::ThreadClocks;

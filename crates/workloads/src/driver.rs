@@ -888,18 +888,10 @@ fn flush_host_metrics(m: &Machine) {
     metrics::counter("pmem.image.cow_copies").add(img.cow_copies);
     metrics::counter("sim.calendar.full_scans").add(m.hw().mem.calendar_full_scans());
     metrics::gauge("mem.fwd_slab.hwm").set_max(m.hw().mem.fwd_slab_hwm());
-    // Domain-partitioned backend (DESIGN.md §12): per-channel event
-    // volume, how often the parallel window engaged, cross-domain
-    // out-event exchange, and host nanoseconds spent in the serial
-    // replay merge (the "frontier stall" the partition pays for
-    // exactness).
-    let (per_domain, windows, exchange, stall_ns) = m.hw().mem.domain_metrics();
-    for (ch, n) in per_domain.iter().enumerate() {
+    // Per-channel event volume: which channels carry the memory traffic.
+    for (ch, n) in m.hw().mem.channel_events().iter().enumerate() {
         metrics::counter(&format!("sim.domain.ch{ch}.events")).add(*n);
     }
-    metrics::counter("sim.domain.par_windows").add(windows);
-    metrics::counter("sim.domain.exchange.events").add(exchange);
-    metrics::counter("sim.domain.merge_stall_ns").add(stall_ns);
     // Telemetry sampler health: whether long runs are still sampling at
     // useful resolution. The period doubles on every decimation, so
     // `/metrics` showing `telemetry.period` far above the configured one

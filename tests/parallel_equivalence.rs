@@ -171,85 +171,12 @@ fn env_driven_grid_matches_serial_reference() {
     }
 }
 
-/// Resets the intra-cell parallelism overrides even if a comparison
-/// panics, so a failure here cannot leak window-mode state into other
-/// tests in this binary.
-struct CellJobsGuard;
-
-impl Drop for CellJobsGuard {
-    fn drop(&mut self) {
-        asap_mem::set_cell_jobs(None);
-        asap_mem::set_parallel_window_min(None);
-    }
-}
-
-/// Intra-cell parallelism (`ASAP_CELL_JOBS`) must be a pure wall-clock
-/// optimization exactly like the harness pool: domain-partitioned
-/// windows drained on worker threads and replayed through the serial
-/// merge have to leave every observable — counters, float telemetry,
-/// hot-line rankings, crash-recovery reports — byte-identical to the
-/// single-wheel serial engine. Unlike the pool tests this varies the
-/// engine *inside* one simulation, so it runs multi-threaded,
-/// multi-channel cells plus a crash cell whose recovery replays from an
-/// image flushed right after parallel windows.
-#[test]
-fn intra_cell_parallel_cells_are_identical_to_serial() {
-    let mut specs = vec![
-        WorkloadSpec::new(BenchId::Q, SchemeKind::Asap)
-            .with_threads(4)
-            .with_ops(40),
-        WorkloadSpec::new(BenchId::Hm, SchemeKind::SwUndo)
-            .with_threads(2)
-            .with_ops(30),
-        WorkloadSpec::new(BenchId::Bt, SchemeKind::HwRedo)
-            .with_threads(2)
-            .with_ops(30),
-        // Telemetry cell: the sampler runs on virtual time, so its JSON
-        // exports must not notice the engine swap either.
-        WorkloadSpec::new(BenchId::Hm, SchemeKind::Asap)
-            .with_threads(2)
-            .with_ops(25)
-            .with_telemetry(TelemetrySettings::enabled()),
-        // Crash-recovery cell: the power failure lands after parallel
-        // windows have run, so the ADR flush and recovery replay start
-        // from merged state.
-        WorkloadSpec::new(BenchId::Hm, SchemeKind::HwUndo)
-            .with_threads(2)
-            .with_ops(30)
-            .with_tracking()
-            .with_crash_after(40),
-    ];
-    // A long-residency WPQ keeps channels busy across window boundaries.
-    let mut delayed = asap_sim::SystemConfig::table2();
-    delayed.mem.wpq_residency = 4096;
-    specs.push(
-        WorkloadSpec::new(BenchId::Tpcc, SchemeKind::Asap)
-            .with_threads(2)
-            .with_ops(15)
-            .with_system(delayed),
-    );
-
-    let serial = run_grid_with(&specs, 1, &RunCacheConfig::off());
-    let _guard = CellJobsGuard;
-    asap_mem::set_cell_jobs(Some(4));
-    // Window-size floor of zero forces the parallel path to engage on
-    // every eligible advance, not just event bursts.
-    asap_mem::set_parallel_window_min(Some(0));
-    let parallel = run_grid_with(&specs, 1, &RunCacheConfig::off());
-    assert_eq!(serial.len(), parallel.len());
-    for (a, b) in serial.iter().zip(&parallel) {
-        assert_identical(a, b);
-    }
-}
-
 /// Copy-on-write crash-point sweeps must be a pure wall-clock
 /// optimization exactly like the pool and the cache: every fork —
 /// snapshot-restored mid-run, then crashed and recovered — has to be
 /// byte-identical to the legacy one-full-run-per-point path, whether the
-/// legacy reference ran serially or through the parallel pool, whether
-/// the sweep ran on the serial engine or under intra-cell parallel
-/// windows, and whether its cells were simulated or served from a disk
-/// store.
+/// legacy reference ran serially or through the parallel pool, and
+/// whether its cells were simulated or served from a disk store.
 #[test]
 fn crash_sweeps_are_identical_to_legacy_crash_cells() {
     use asap_bench::run_crash_sweep_with;
@@ -280,19 +207,6 @@ fn crash_sweeps_are_identical_to_legacy_crash_cells() {
     base.crash_points.clear();
     assert_identical(&base, &plain[0]);
 
-    // Sweep under intra-cell parallel windows: snapshot/restore must
-    // commute with the domain-partitioned engine.
-    {
-        let _guard = CellJobsGuard;
-        asap_mem::set_cell_jobs(Some(2));
-        asap_mem::set_parallel_window_min(Some(0));
-        let windowed = run_crash_sweep_with(&spec, &points, 16, &RunCacheConfig::off());
-        for (a, b) in windowed.forks.iter().zip(&legacy) {
-            assert_identical(a, b);
-        }
-        assert_eq!(windowed.baseline.crash_points, sweep.baseline.crash_points);
-    }
-
     // Cached sweeps: a cold pass populates a hermetic disk store, a warm
     // pass is served from it — forks and the rebuilt crash-point summary
     // must both be unchanged.
@@ -310,11 +224,11 @@ fn crash_sweeps_are_identical_to_legacy_crash_cells() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The parallel sweep engine stacks three axes of host parallelism —
-/// fork-dispatch workers (`ASAP_SWEEP_JOBS`), the grid pool that produces
-/// the legacy reference (`ASAP_JOBS`), and intra-cell parallel windows
-/// (`ASAP_CELL_JOBS`) — and every combination must still be bit-identical
-/// to the serial flat sweep and to the legacy one-run-per-point path.
+/// The parallel sweep engine stacks two axes of host parallelism —
+/// fork-dispatch workers (`ASAP_SWEEP_JOBS`) and the grid pool that
+/// produces the legacy reference (`ASAP_JOBS`) — and every combination
+/// must still be bit-identical to the serial flat sweep and to the
+/// legacy one-run-per-point path.
 /// Tree refinement (the fourth axis) rides along: tree-restored forks
 /// must match flat-cadence forks under every dispatch mode.
 #[test]
@@ -332,29 +246,22 @@ fn parallel_tree_sweeps_match_serial_flat_and_legacy() {
     for (a, b) in flat.forks.iter().zip(&legacy) {
         assert_identical(a, b);
     }
-    for cell_jobs in [None, Some(2)] {
-        let _guard = CellJobsGuard;
-        if let Some(j) = cell_jobs {
-            asap_mem::set_cell_jobs(Some(j));
-            asap_mem::set_parallel_window_min(Some(0));
-        }
-        for sweep_jobs in [1usize, 2, 4] {
-            for cfg in [
-                SweepConfig::flat(16).with_jobs(sweep_jobs),
-                SweepConfig::tree(16).with_budget(2).with_jobs(sweep_jobs),
-            ] {
-                let sw = run_sweep_with(&spec, &points, &cfg);
-                for (a, b) in sw.forks.iter().zip(&flat.forks) {
-                    assert_identical(a, b);
-                }
-                assert_eq!(sw.baseline.crash_points, flat.baseline.crash_points);
-                assert_eq!(sw.prefix_writes, flat.prefix_writes);
-                if cfg.refine {
-                    assert!(
-                        sw.replayed_writes <= flat.replayed_writes,
-                        "tree replay must not exceed flat (cell_jobs {cell_jobs:?}, {cfg:?})"
-                    );
-                }
+    for sweep_jobs in [1usize, 2, 4] {
+        for cfg in [
+            SweepConfig::flat(16).with_jobs(sweep_jobs),
+            SweepConfig::tree(16).with_budget(2).with_jobs(sweep_jobs),
+        ] {
+            let sw = run_sweep_with(&spec, &points, &cfg);
+            for (a, b) in sw.forks.iter().zip(&flat.forks) {
+                assert_identical(a, b);
+            }
+            assert_eq!(sw.baseline.crash_points, flat.baseline.crash_points);
+            assert_eq!(sw.prefix_writes, flat.prefix_writes);
+            if cfg.refine {
+                assert!(
+                    sw.replayed_writes <= flat.replayed_writes,
+                    "tree replay must not exceed flat ({cfg:?})"
+                );
             }
         }
     }
