@@ -6,6 +6,9 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> benchmark package build (perfbench/ is its own workspace)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test"
 cargo test --workspace -q
 
@@ -113,9 +116,9 @@ echo "    endpoints live (200s), stdout byte-identical at jobs 1 and 4"
 
 echo "==> crash-point sweep smoke (CoW forks vs legacy re-runs, 32 points)"
 # The example asserts every fork byte-identical to a full crash_after
-# re-run, every recovery verified, and (at >= 32 points) the sweep at
-# least 5x faster than the legacy path. ASAP_WALLCLOCK= keeps CI from
-# appending host-dependent records to BENCH_WALLCLOCK.json.
+# re-run, every recovery verified, and (at 32-64 points) the sweep at
+# least 5x faster than the serial legacy path. ASAP_WALLCLOCK= keeps CI
+# from appending host-dependent records to BENCH_WALLCLOCK.json.
 ASAP_OPS=100 ASAP_THREADS=2 ASAP_CRASH_SWEEP=32 ASAP_WALLCLOCK= \
   cargo run --release -q --example crash_sweep >target/crash_sweep.out 2>target/crash_sweep.err
 grep -q "all 32 forks identical to legacy re-runs" target/crash_sweep.out \
@@ -126,9 +129,10 @@ sed -n 's/^crash_sweep: /    /p' target/crash_sweep.err
 echo "==> parallel sweep smoke (1000 lifecycle points, ASAP_SWEEP_JOBS=2 vs serial)"
 # Snapshot-tree sweep over a 1000-point lifecycle plan, run twice: serial
 # and with two fork workers. Stdout must be byte-identical (determinism
-# at any ASAP_SWEEP_JOBS), every point must recover, and on multi-CPU
-# hosts the parallel pass must reach at least 2x the serial points/s
-# (warn-only on 1-CPU hosts, where there is nothing to win).
+# at any ASAP_SWEEP_JOBS), every point must recover and match its legacy
+# re-run, and on multi-CPU hosts the parallel pass must reach at least 2x
+# the serial points/s (warn-only on 1-CPU hosts, where there is nothing
+# to win).
 ASAP_OPS=200 ASAP_THREADS=2 ASAP_CRASH_SWEEP=1000 ASAP_WALLCLOCK= ASAP_RUNCACHE=off \
   cargo run --release -q --example crash_sweep >target/sweep_serial.out 2>target/sweep_serial.err
 ASAP_OPS=200 ASAP_THREADS=2 ASAP_CRASH_SWEEP=1000 ASAP_WALLCLOCK= ASAP_RUNCACHE=off \

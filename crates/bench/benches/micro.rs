@@ -318,11 +318,11 @@ fn bench_snapshot() {
 }
 
 fn bench_sweep() {
-    // The sweep engine's two per-fork restore shapes, isolated from the
-    // driver. `far` stands in for a thinned-spine cadence snapshot a full
-    // tail behind the crash point; `near` for a refinement leaf one step
-    // away. The gap between the two is the work the snapshot tree
-    // removes from every fork.
+    // The sweep engine's two restore shapes, isolated from the driver.
+    // `far` stands in for a thinned-spine cadence snapshot a full tail
+    // behind a chunk's first crash point, restored once per chunk; `near`
+    // for a leaf one step away, restored once per fork. The gap between
+    // the two is the work the leaves remove from every fork.
     let mut m = Machine::new(MachineConfig::small(SchemeKind::Asap, 1));
     let a = m.pm_alloc(64 * 64).unwrap();
     let region = |m: &mut Machine, i: u64| {
@@ -341,15 +341,16 @@ fn bench_sweep() {
     }
     let near = m.snapshot();
 
-    // Flat cadence: restore the cadence snapshot, replay the tail of
-    // regions up to the crash point.
+    // A chunk's spine restore: restore the cadence snapshot, advance
+    // through the tail of regions up to the first crash point. (The name
+    // predates the tree-only engine and stays for bench history.)
     bench_with("sweep_restore_flat_tail", 20, 200, || {
         m.restore(&far);
         for i in 8..63 {
             region(&mut m, i);
         }
     });
-    // Snapshot tree: restore the refinement leaf adjacent to the point.
+    // A fork: restore the leaf adjacent to the point.
     bench_with("sweep_restore_tree_leaf", 20, 200, || {
         m.restore(&near);
         region(&mut m, 63);

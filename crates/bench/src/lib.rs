@@ -30,8 +30,9 @@
 //!   example, which drives [`run_crash_sweep`] (shared-prefix
 //!   copy-on-write forks, bit-identical to legacy `crash_after` cells);
 //! - `ASAP_SWEEP_JOBS` — fork-dispatch worker threads for crash sweeps
-//!   (default 1; snapshots are `Send`, so forks run on a scoped pool and
-//!   merge back in point order — output is identical at any value);
+//!   (default 1; snapshots are `Send`, so forks run on the same host
+//!   pool as grid cells and merge back in point order — output is
+//!   identical at any value);
 //! - `ASAP_SNAP_BUDGET` — most spine snapshots a sweep keeps resident
 //!   (default 64; over budget, every other snapshot is evicted and the
 //!   cadence doubles);
@@ -57,8 +58,6 @@ mod report;
 pub mod runcache;
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use asap_core::machine::RunOutcome;
@@ -113,10 +112,11 @@ pub fn jobs() -> usize {
 }
 
 /// Fork-dispatch worker threads for crash sweeps, from `ASAP_SWEEP_JOBS`
-/// (default 1 — the sweep's own parallelism is opt-in, separate from the
-/// grid pool's [`jobs`]; minimum 1). Sweep output is bit-identical at any
-/// value (`tests/parallel_equivalence.rs` and the sweep proptests hold
-/// the claim).
+/// (default 1 — fork parallelism is opt-in, a worker count separate from
+/// the grid's [`jobs`] though both run on the same host pool; minimum 1).
+/// Sweep output is bit-identical at any value
+/// (`tests/parallel_equivalence.rs` and the sweep proptests hold the
+/// claim).
 pub fn sweep_jobs() -> usize {
     std::env::var("ASAP_SWEEP_JOBS")
         .ok()
@@ -169,59 +169,23 @@ pub fn run_grid_with(
     jobs: usize,
     cache: &RunCacheConfig,
 ) -> Vec<RunResult> {
-    asap_sim::warn_unknown_asap_env();
-    // Start before the first emit so grid_start lands in the hub backlog
-    // and reaches /events subscribers that connect mid-run.
-    let server = start_obs_server();
-    let events_on = events::enabled();
-    let progress = Progress::from_env(specs.len());
-    let t0 = Instant::now();
-    if events_on {
-        events::Event::new("grid_start")
-            .field_str("schema", events::SCHEMA)
-            .field_u64("cells", specs.len() as u64)
-            .field_u64("jobs", jobs as u64)
-            .field_str("cache", if cache.enabled() { "on" } else { "off" })
-            .emit();
-    }
-    // Fingerprints key both memoization and the event stream; with
-    // neither consumer active, skip hashing entirely.
-    let fps: Option<Vec<Fingerprint>> = (cache.enabled() || events_on).then(|| {
-        let _t = phase::scope(phase::Phase::Fingerprint);
-        specs.iter().map(WorkloadSpec::fingerprint).collect()
-    });
+    let bracket = RunBracket::open(specs.len(), jobs, cache);
+    let fps = bracket.fingerprints(specs);
     let results = if cache.enabled() {
-        grid_with_cache(
-            specs,
-            jobs,
-            cache,
-            fps.as_deref().expect("cache implies fps"),
-            &progress,
-        )
+        let fps = fps.as_deref().expect("cache implies fingerprints");
+        let mut probe = Probe::run(specs, Some(fps), cache, &bracket.progress);
+        let missing: Vec<WorkloadSpec> = probe.to_run.iter().map(|&i| specs[i]).collect();
+        let missing_fps: Vec<Fingerprint> = probe.to_run.iter().map(|&i| fps[i]).collect();
+        let ran = pool_run(&missing, jobs, Some(&missing_fps), &bracket.progress);
+        for (&i, r) in probe.to_run.iter().zip(ran) {
+            runcache::insert(&fps[i], &r, cache);
+            probe.results[i] = Some(r);
+        }
+        probe.fan_out(specs, Some(fps), &bracket.progress)
     } else {
-        pool_run(specs, jobs, fps.as_deref(), &progress)
+        pool_run(specs, jobs, fps.as_deref(), &bracket.progress)
     };
-    progress.finish();
-    if events_on {
-        let c = runcache::counters();
-        events::Event::new("grid_end")
-            .field_u64("cells", specs.len() as u64)
-            .field_u64("host_us", t0.elapsed().as_micros() as u64)
-            .field_u64("cache_hits", c.hits())
-            .field_u64("cache_misses", c.misses)
-            .emit();
-    }
-    if cache.enabled() {
-        // Cumulative for the process (stderr, like the wall-clock note —
-        // the figure's stdout must not depend on cache state).
-        obs::note!("{}", runcache::summary_line(&runcache::counters()));
-    }
-    if let Some(server) = server {
-        // Graceful: streams drain their pending batches, see the hub
-        // close, and every connection thread is joined before we return.
-        report::set_live(false);
-        server.shutdown();
-    }
+    bracket.close();
     results
 }
 
@@ -269,28 +233,117 @@ fn start_obs_server() -> Option<obs::http::Server> {
     }
 }
 
-/// The cached path of [`run_grid_with`]: probe the tiers, simulate the
-/// misses, fan duplicates out from their first occurrence.
-fn grid_with_cache(
-    specs: &[WorkloadSpec],
-    jobs: usize,
-    cache: &RunCacheConfig,
-    fps: &[Fingerprint],
-    progress: &Progress,
-) -> Vec<RunResult> {
-    let mut results: Vec<Option<RunResult>> = vec![None; specs.len()];
-    // First index of each distinct fingerprint; later duplicates are
-    // filled by fan-out below instead of consulting the tiers (or the
-    // pool) again.
-    let mut first: HashMap<Fingerprint, usize> = HashMap::new();
-    let mut to_run: Vec<usize> = Vec::new();
-    {
+/// The observability bracket around one harness run (a grid, or a crash
+/// sweep's cells): the unknown-knob warning, the `ASAP_HTTP` server,
+/// `grid_start`/`grid_end` records, the progress line, and the
+/// cumulative run-cache note on stderr.
+struct RunBracket {
+    server: Option<obs::http::Server>,
+    events_on: bool,
+    cache_on: bool,
+    progress: Progress,
+    cells: usize,
+    t0: Instant,
+}
+
+impl RunBracket {
+    fn open(cells: usize, jobs: usize, cache: &RunCacheConfig) -> Self {
+        asap_sim::warn_unknown_asap_env();
+        // Start before the first emit so grid_start lands in the hub
+        // backlog and reaches /events subscribers that connect mid-run.
+        let server = start_obs_server();
+        let events_on = events::enabled();
+        let cache_on = cache.enabled();
+        let progress = Progress::from_env(cells);
+        let t0 = Instant::now();
+        if events_on {
+            events::Event::new("grid_start")
+                .field_str("schema", events::SCHEMA)
+                .field_u64("cells", cells as u64)
+                .field_u64("jobs", jobs as u64)
+                .field_str("cache", if cache_on { "on" } else { "off" })
+                .emit();
+        }
+        RunBracket {
+            server,
+            events_on,
+            cache_on,
+            progress,
+            cells,
+            t0,
+        }
+    }
+
+    /// Fingerprints key both memoization and the event stream; with
+    /// neither consumer active, hashing is skipped entirely.
+    fn fingerprints(&self, specs: &[WorkloadSpec]) -> Option<Vec<Fingerprint>> {
+        (self.cache_on || self.events_on).then(|| {
+            let _t = phase::scope(phase::Phase::Fingerprint);
+            specs.iter().map(WorkloadSpec::fingerprint).collect()
+        })
+    }
+
+    fn close(self) {
+        self.progress.finish();
+        if self.events_on {
+            let c = runcache::counters();
+            events::Event::new("grid_end")
+                .field_u64("cells", self.cells as u64)
+                .field_u64("host_us", self.t0.elapsed().as_micros() as u64)
+                .field_u64("cache_hits", c.hits())
+                .field_u64("cache_misses", c.misses)
+                .emit();
+        }
+        if self.cache_on {
+            // Cumulative for the process (stderr, like the wall-clock
+            // note — the figure's stdout must not depend on cache state).
+            obs::note!("{}", runcache::summary_line(&runcache::counters()));
+        }
+        if let Some(server) = self.server {
+            // Graceful: streams drain their pending batches, see the hub
+            // close, and every connection thread is joined before we
+            // return.
+            report::set_live(false);
+            server.shutdown();
+        }
+    }
+}
+
+/// The cells of one run after the cache tiers were probed: hits filled
+/// in, the first occurrence of every missed fingerprint queued to
+/// simulate, and later duplicates left empty for [`Probe::fan_out`].
+struct Probe {
+    results: Vec<Option<RunResult>>,
+    /// First index of each distinct fingerprint.
+    first: HashMap<Fingerprint, usize>,
+    /// Cells to simulate, ascending.
+    to_run: Vec<usize>,
+}
+
+impl Probe {
+    /// Probes the tiers once per distinct fingerprint. With the cache off
+    /// nothing is probed or deduplicated: every cell is queued.
+    fn run(
+        specs: &[WorkloadSpec],
+        fps: Option<&[Fingerprint]>,
+        cache: &RunCacheConfig,
+        progress: &Progress,
+    ) -> Self {
+        let mut probe = Probe {
+            results: vec![None; specs.len()],
+            first: HashMap::new(),
+            to_run: Vec::new(),
+        };
+        let Some(fps) = fps.filter(|_| cache.enabled()) else {
+            probe.to_run = (0..specs.len()).collect();
+            return probe;
+        };
         let _t = phase::scope(phase::Phase::CacheProbe);
         for (i, fp) in fps.iter().enumerate() {
-            if first.contains_key(fp) {
+            if probe.first.contains_key(fp) {
                 continue;
             }
-            first.insert(*fp, i);
+            probe.first.insert(*fp, i);
             let probe_t0 = Instant::now();
             match runcache::lookup(fp, cache) {
                 Some((mut r, tier)) => {
@@ -307,47 +360,53 @@ fn grid_with_cache(
                         &r,
                         probe_t0.elapsed().as_micros() as u64,
                     );
-                    results[i] = Some(r);
+                    probe.results[i] = Some(r);
                     progress.tick(true);
                 }
                 None => {
                     runcache::note_miss();
-                    to_run.push(i);
+                    probe.to_run.push(i);
                 }
             }
         }
+        probe
     }
-    let missing: Vec<WorkloadSpec> = to_run.iter().map(|&i| specs[i]).collect();
-    let missing_fps: Vec<Fingerprint> = to_run.iter().map(|&i| fps[i]).collect();
-    for (&i, r) in to_run
-        .iter()
-        .zip(pool_run(&missing, jobs, Some(&missing_fps), progress))
-    {
-        runcache::insert(&fps[i], &r, cache);
-        results[i] = Some(r);
-    }
-    for i in 0..specs.len() {
-        if results[i].is_none() {
-            let mut r = results[first[&fps[i]]].clone().expect("representative ran");
-            r.spec = specs[i];
-            runcache::note_dedup_fanout();
-            emit_cell_start(&specs[i], &fps[i]);
-            emit_cell_end(&specs[i], &fps[i], "dedup", &r, 0);
-            progress.tick(true);
-            results[i] = Some(r);
+
+    /// Fills every duplicate from its first occurrence and returns the
+    /// results in cell order.
+    fn fan_out(
+        self,
+        specs: &[WorkloadSpec],
+        fps: Option<&[Fingerprint]>,
+        progress: &Progress,
+    ) -> Vec<RunResult> {
+        let mut results = self.results;
+        for i in 0..specs.len() {
+            if results[i].is_none() {
+                let fps = fps.expect("dedup implies fingerprints");
+                let mut r = results[self.first[&fps[i]]]
+                    .clone()
+                    .expect("representative ran");
+                r.spec = specs[i];
+                runcache::note_dedup_fanout();
+                emit_cell_start(&specs[i], &fps[i]);
+                emit_cell_end(&specs[i], &fps[i], "dedup", &r, 0);
+                progress.tick(true);
+                results[i] = Some(r);
+            }
         }
+        results
+            .into_iter()
+            .map(|r| r.expect("every cell filled"))
+            .collect()
     }
-    results
-        .into_iter()
-        .map(|r| r.expect("every cell filled"))
-        .collect()
 }
 
 /// Runs a copy-on-write crash-point sweep for `spec` under the
 /// environment-configured result cache ([`RunCacheConfig::from_env`]).
 ///
-/// The sweep itself ([`asap_workloads::run_sweep`]) executes the shared
-/// prefix once and forks each crash point from the nearest machine
+/// The sweep itself ([`asap_workloads::run_sweep_with`]) executes the
+/// shared prefix once and forks each crash point from a machine
 /// snapshot; this wrapper adds the memoization layer: every fork is keyed
 /// by the fingerprint of `spec.with_crash_after(point)` — the *same* key
 /// an ordinary [`run_grid`] cell for that spec would use, because the
@@ -361,191 +420,88 @@ pub fn run_crash_sweep(spec: &WorkloadSpec, points: &[u64], snap_every: u64) -> 
     run_crash_sweep_with(spec, points, snap_every, &RunCacheConfig::from_env())
 }
 
-/// [`run_crash_sweep`] with an explicit cache configuration. Emits the
-/// same observability records as a grid run — `grid_start`/`grid_end`
-/// brackets, one `cell_start`/`cell_end` pair per crash point plus one
-/// for the baseline, progress ticks — and feeds the live report's
-/// crash-sweep table when the `ASAP_HTTP` server is up. Stdout is
-/// untouched; results come back in point order whatever hits.
+/// [`run_crash_sweep`] with an explicit cache configuration. The baseline
+/// and the forks are one cell list — `[spec] ++ fork specs` — run through
+/// the same bracket, tier probe and dedup fan-out as [`run_grid_with`],
+/// so a sweep emits the same observability records as a grid (one
+/// `cell_start`/`cell_end` pair per crash point plus one for the
+/// baseline, progress ticks) and feeds the live report's crash-sweep
+/// table when the `ASAP_HTTP` server is up. Only the missed forks are
+/// swept. Stdout is untouched; results come back in point order whatever
+/// hits.
 pub fn run_crash_sweep_with(
     spec: &WorkloadSpec,
     points: &[u64],
     snap_every: u64,
     cache: &RunCacheConfig,
 ) -> SweepResult {
-    asap_sim::warn_unknown_asap_env();
-    let server = start_obs_server();
-    let events_on = events::enabled();
-    let progress = Progress::from_env(points.len() + 1);
-    let t0 = Instant::now();
-    if events_on {
-        events::Event::new("grid_start")
-            .field_str("schema", events::SCHEMA)
-            .field_u64("cells", points.len() as u64 + 1)
-            .field_u64("jobs", sweep_jobs() as u64)
-            .field_str("cache", if cache.enabled() { "on" } else { "off" })
-            .emit();
-    }
-    let fork_specs: Vec<WorkloadSpec> = points.iter().map(|&n| spec.with_crash_after(n)).collect();
-    let want_fps = cache.enabled() || events_on;
-    let fps: Option<Vec<Fingerprint>> = want_fps.then(|| {
-        let _t = phase::scope(phase::Phase::Fingerprint);
-        fork_specs.iter().map(WorkloadSpec::fingerprint).collect()
-    });
-    let base_fp = want_fps.then(|| spec.fingerprint());
-
-    let mut forks: Vec<Option<RunResult>> = vec![None; points.len()];
-    let mut baseline: Option<RunResult> = None;
-    let mut first: HashMap<Fingerprint, usize> = HashMap::new();
-    let mut to_run: Vec<usize> = Vec::new();
-    if cache.enabled() {
-        let fps = fps.as_deref().expect("cache implies fps");
-        let bfp = base_fp.as_ref().expect("cache implies fps");
-        let _t = phase::scope(phase::Phase::CacheProbe);
-        let probe_t0 = Instant::now();
-        match runcache::lookup(bfp, cache) {
-            Some((mut r, tier)) => {
-                r.spec = *spec;
-                emit_cell_start(spec, bfp);
-                emit_cell_end(
-                    spec,
-                    bfp,
-                    tier.label(),
-                    &r,
-                    probe_t0.elapsed().as_micros() as u64,
-                );
-                baseline = Some(r);
-                progress.tick(true);
-            }
-            None => runcache::note_miss(),
-        }
-        for (i, fp) in fps.iter().enumerate() {
-            if first.contains_key(fp) {
-                continue;
-            }
-            first.insert(*fp, i);
-            let probe_t0 = Instant::now();
-            match runcache::lookup(fp, cache) {
-                Some((mut r, tier)) => {
-                    r.spec = fork_specs[i];
-                    emit_cell_start(&fork_specs[i], fp);
-                    emit_cell_end(
-                        &fork_specs[i],
-                        fp,
-                        tier.label(),
-                        &r,
-                        probe_t0.elapsed().as_micros() as u64,
-                    );
-                    forks[i] = Some(r);
-                    progress.tick(true);
-                }
-                None => {
-                    runcache::note_miss();
-                    to_run.push(i);
-                }
-            }
-        }
-    } else {
-        to_run = (0..points.len()).collect();
-    }
+    let cells: Vec<WorkloadSpec> = std::iter::once(*spec)
+        .chain(points.iter().map(|&n| spec.with_crash_after(n)))
+        .collect();
+    let bracket = RunBracket::open(cells.len(), sweep_jobs(), cache);
+    let fps = bracket.fingerprints(&cells);
+    let mut probe = Probe::run(&cells, fps.as_deref(), cache, &bracket.progress);
 
     let mut prefix_writes = 0;
     let mut replayed_writes = 0;
-    if baseline.is_none() || !to_run.is_empty() {
+    let to_run = &probe.to_run;
+    if !to_run.is_empty() {
         // One sweep covers the baseline and every missing point: the
         // prefix has to be executed to build the snapshots anyway, and
         // the baseline's completion falls out of it for free.
-        let missing: Vec<u64> = to_run.iter().map(|&i| points[i]).collect();
-        if baseline.is_none() {
-            if let Some(bfp) = &base_fp {
-                emit_cell_start(spec, bfp);
-            }
-        }
-        for &i in &to_run {
-            if let Some(fps) = &fps {
-                emit_cell_start(&fork_specs[i], &fps[i]);
+        let base_missed = to_run[0] == 0;
+        let missing = &to_run[usize::from(base_missed)..];
+        let missing_points: Vec<u64> = missing.iter().map(|&c| points[c - 1]).collect();
+        if let Some(fps) = &fps {
+            for &c in to_run {
+                emit_cell_start(&cells[c], &fps[c]);
             }
         }
         let sim_t0 = Instant::now();
         let sweep = {
             let _t = phase::scope(phase::Phase::Simulate);
-            // Tree layout + env-configured fork pool: bit-identical to
-            // the serial flat sweep, only faster and memory-bounded.
-            let cfg = SweepConfig::tree(snap_every)
+            let cfg = SweepConfig::new(snap_every)
                 .with_budget(snap_budget())
                 .with_jobs(sweep_jobs());
-            run_sweep_with(spec, &missing, &cfg)
+            run_sweep_with(spec, &missing_points, &cfg)
         };
         prefix_writes = sweep.prefix_writes;
         replayed_writes = sweep.replayed_writes;
         // Host time split evenly across the cells the sweep served —
         // the prefix is shared, so no per-cell attribution is exact.
-        let per_us = sim_t0.elapsed().as_micros() as u64 / (to_run.len() as u64 + 1);
-        for (&i, r) in to_run.iter().zip(sweep.forks) {
+        let per_us = sim_t0.elapsed().as_micros() as u64 / (missing.len() as u64 + 1);
+        let mut baseline = sweep.baseline;
+        // Cache the plain-run form: a sweep baseline minus its
+        // crash-point summaries is byte-identical to an ordinary run of
+        // the unarmed spec, so the entry is interchangeable with (and
+        // dedupes against) non-sweep cells. The summaries are rebuilt
+        // below from the assembled forks either way.
+        baseline.crash_points.clear();
+        let served = base_missed
+            .then_some((0, baseline))
+            .into_iter()
+            .chain(missing.iter().copied().zip(sweep.forks));
+        for (c, r) in served {
             if let Some(fps) = &fps {
-                emit_cell_end(&fork_specs[i], &fps[i], "miss", &r, per_us);
-                if cache.enabled() {
-                    runcache::insert(&fps[i], &r, cache);
-                }
+                emit_cell_end(&cells[c], &fps[c], "miss", &r, per_us);
+                runcache::insert(&fps[c], &r, cache);
             }
-            forks[i] = Some(r);
-            progress.tick(false);
-        }
-        if baseline.is_none() {
-            let mut b = sweep.baseline;
-            // Cache the plain-run form: a sweep baseline minus its
-            // crash-point summaries is byte-identical to an ordinary run
-            // of the unarmed spec, so the entry is interchangeable with
-            // (and dedupes against) non-sweep cells. The summaries are
-            // rebuilt below from the assembled forks either way.
-            b.crash_points.clear();
-            if let Some(bfp) = &base_fp {
-                emit_cell_end(spec, bfp, "miss", &b, per_us);
-                if cache.enabled() {
-                    runcache::insert(bfp, &b, cache);
-                }
-            }
-            baseline = Some(b);
-            progress.tick(false);
+            probe.results[c] = Some(r);
+            bracket.progress.tick(false);
         }
     }
-
-    // Duplicate points fan out from their first occurrence.
-    for i in 0..points.len() {
-        if forks[i].is_none() {
-            let fps = fps.as_deref().expect("dedup implies fps");
-            let mut r = forks[first[&fps[i]]].clone().expect("representative ran");
-            r.spec = fork_specs[i];
-            runcache::note_dedup_fanout();
-            emit_cell_start(&fork_specs[i], &fps[i]);
-            emit_cell_end(&fork_specs[i], &fps[i], "dedup", &r, 0);
-            progress.tick(true);
-            forks[i] = Some(r);
-        }
-    }
-
-    let forks: Vec<RunResult> = forks
-        .into_iter()
-        .map(|r| r.expect("every point filled"))
-        .collect();
-    let mut baseline = baseline.expect("baseline filled");
+    let mut results = probe
+        .fan_out(&cells, fps.as_deref(), &bracket.progress)
+        .into_iter();
+    let mut baseline = results.next().expect("cell 0 is the baseline");
+    let forks: Vec<RunResult> = results.collect();
     // Rebuild the summary over *all* requested points (cache hits
-    // included) exactly as the driver derives it, so a fully-warm sweep
+    // included) with the driver's own derivation, so a fully-warm sweep
     // reports the same outcomes as a cold one.
     baseline.crash_points = points
         .iter()
         .zip(&forks)
-        .map(|(&n, r)| CrashPointOutcome {
-            crash_after: n,
-            crashed: r.outcome == RunOutcome::Crashed,
-            uncommitted: r
-                .recovery
-                .as_ref()
-                .map_or(0, |x| x.uncommitted.len() as u64),
-            replayed: r.recovery.as_ref().map_or(0, |x| x.replayed.len() as u64),
-            restored_lines: r.recovery.as_ref().map_or(0, |x| x.restored_lines),
-            tx: r.tx,
-        })
+        .map(|(&n, r)| CrashPointOutcome::of(n, r))
         .collect();
     if report::is_live() {
         report::note_sweep(report::SweepNote {
@@ -554,23 +510,7 @@ pub fn run_crash_sweep_with(
             points: baseline.crash_points.clone(),
         });
     }
-    progress.finish();
-    if events_on {
-        let c = runcache::counters();
-        events::Event::new("grid_end")
-            .field_u64("cells", points.len() as u64 + 1)
-            .field_u64("host_us", t0.elapsed().as_micros() as u64)
-            .field_u64("cache_hits", c.hits())
-            .field_u64("cache_misses", c.misses)
-            .emit();
-    }
-    if cache.enabled() {
-        obs::note!("{}", runcache::summary_line(&runcache::counters()));
-    }
-    if let Some(server) = server {
-        report::set_live(false);
-        server.shutdown();
-    }
+    bracket.close();
     // `prefix_writes` and `replayed_writes` stay 0 for a fully-warm
     // sweep: the prefix never re-executed, so there is nothing to
     // re-measure (and nothing was replayed).
@@ -582,43 +522,20 @@ pub fn run_crash_sweep_with(
     }
 }
 
-/// The raw worker pool: simulates every spec, no memoization.
-/// `fps` is present whenever the event stream is on (the grid runner
-/// computes fingerprints for either consumer), so cell records can be
-/// keyed by content.
+/// The raw worker pool: simulates every spec, no memoization, on the
+/// shared host pool ([`asap_sim::pool::map`]). `fps` is present whenever
+/// the event stream is on (the grid runner computes fingerprints for
+/// either consumer), so cell records can be keyed by content.
 fn pool_run(
     specs: &[WorkloadSpec],
     jobs: usize,
     fps: Option<&[Fingerprint]>,
     progress: &Progress,
 ) -> Vec<RunResult> {
-    if jobs <= 1 || specs.len() <= 1 {
-        return (0..specs.len())
-            .map(|i| run_cell(i, specs, fps, progress, 0))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<RunResult>>> = specs.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        let next = &next;
-        let slots = &slots;
-        for w in 0..jobs.min(specs.len()) {
-            scope.spawn(move || loop {
-                // Self-scheduling work queue: cells vary widely in cost
-                // (2KB payloads are ~10x 64B cells), so static chunking
-                // would leave workers idle.
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= specs.len() {
-                    break;
-                }
-                *slots[i].lock().unwrap() = Some(run_cell(i, specs, fps, progress, w));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("every cell ran"))
-        .collect()
+    let mut workers = vec![(); jobs.clamp(1, specs.len().max(1))];
+    asap_sim::pool::map(&mut workers, specs.len(), |_, i, w| {
+        run_cell(i, specs, fps, progress, w)
+    })
 }
 
 /// Simulates one cell on worker `w`, bracketing it with cell events and

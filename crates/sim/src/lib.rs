@@ -39,6 +39,7 @@ pub mod fingerprint;
 pub mod json;
 pub mod lock;
 pub mod obs;
+pub mod pool;
 pub mod sched;
 pub mod stats;
 pub mod timeseries;

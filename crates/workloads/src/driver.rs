@@ -2,7 +2,6 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use asap_core::machine::{
@@ -100,12 +99,12 @@ pub struct RunResult {
     /// Recovery report when the run crashed and recovered.
     pub recovery: Option<RecoveryReport>,
     /// Per-crash-point outcomes when this result is the baseline of a
-    /// [`run_sweep`] (empty for ordinary runs and sweep forks — a fork
-    /// stays byte-identical to its legacy `crash_after` equivalent).
+    /// [`run_sweep_with`] (empty for ordinary runs and sweep forks — a
+    /// fork stays byte-identical to its legacy `crash_after` equivalent).
     pub crash_points: Vec<CrashPointOutcome>,
 }
 
-/// One crash point's outcome in a [`run_sweep`] summary.
+/// One crash point's outcome in a [`run_sweep_with`] summary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashPointOutcome {
     /// The crash point: power failure at the N-th post-setup persistent
@@ -122,6 +121,22 @@ pub struct CrashPointOutcome {
     pub restored_lines: u64,
     /// Transactions completed before the failure.
     pub tx: u64,
+}
+
+impl CrashPointOutcome {
+    /// The summary of `r`, the run of a spec armed at `crash_after` —
+    /// the one derivation both a cold sweep and a cache-served one use.
+    pub fn of(crash_after: u64, r: &RunResult) -> Self {
+        let rec = r.recovery.as_ref();
+        CrashPointOutcome {
+            crash_after,
+            crashed: r.outcome == RunOutcome::Crashed,
+            uncommitted: rec.map_or(0, |x| x.uncommitted.len() as u64),
+            replayed: rec.map_or(0, |x| x.replayed.len() as u64),
+            restored_lines: rec.map_or(0, |x| x.restored_lines),
+            tx: r.tx,
+        }
+    }
 }
 
 // The parallel figure harness moves whole results across host threads:
@@ -409,8 +424,8 @@ fn collect(
     }
 }
 
-/// The result of a [`run_sweep`]: the uninterrupted baseline run (whose
-/// [`RunResult::crash_points`] summarizes every fork) plus one full
+/// The result of a [`run_sweep_with`]: the uninterrupted baseline run
+/// (whose [`RunResult::crash_points`] summarizes every fork) plus one full
 /// [`RunResult`] per crash point, each byte-identical to what [`run`]
 /// would produce for `spec.with_crash_after(point)`.
 #[derive(Clone, Debug)]
@@ -421,22 +436,22 @@ pub struct SweepResult {
     pub forks: Vec<RunResult>,
     /// Post-setup persistent writes the full prefix performed — the upper
     /// end of the meaningful `crash_after` coordinate for this spec.
-    /// Callers use it to place sweep points (e.g. quantiles of the write
-    /// range); a pilot `run_sweep(spec, &[], u64::MAX)` measures it for
-    /// the cost of one uninterrupted run.
+    /// Callers place sweep points with [`enumerate_crash_points`], whose
+    /// plan reports the same range.
     pub prefix_writes: u64,
     /// Persistent writes re-simulated across all forks (distance from
     /// each fork's restored snapshot to where its run stopped) — the cost
-    /// the snapshot layout exists to minimize. Also accumulated into the
+    /// the snapshot tree exists to minimize. Also accumulated into the
     /// process-global `snapshot.replayed_writes` metric.
     pub replayed_writes: u64,
 }
 
-/// Sweep-engine tuning: snapshot layout and fork dispatch.
+/// Sweep-engine tuning: snapshot spacing, memory bound and fork dispatch.
 ///
 /// The configuration never affects results — every combination produces
-/// bit-identical [`RunResult`]s (the equivalence suites enforce it) —
-/// only wall clock and resident memory.
+/// bit-identical [`RunResult`]s, each equal to its legacy `crash_after`
+/// run (the equivalence suites enforce it) — only wall clock and
+/// resident memory.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepConfig {
     /// Spine snapshot cadence in persistent writes (quantized to step
@@ -444,37 +459,22 @@ pub struct SweepConfig {
     pub snap_every: u64,
     /// Most spine snapshots retained (0 = unbounded). When the prefix
     /// outgrows the budget, every other spine snapshot is evicted and the
-    /// cadence doubles — memory stays O(budget) while worst-case replay
-    /// distance stays O(prefix / budget).
+    /// cadence doubles — memory stays O(budget) while the distance from a
+    /// chunk's first point back to its spine snapshot stays
+    /// O(prefix / budget).
     pub snap_budget: usize,
-    /// Refinement snapshots — the snapshot tree's leaves. Each fork first
-    /// advances (unarmed) to the last step boundary before its crash
-    /// point and snapshots there, so the armed replay is at most one
-    /// step's writes instead of a cadence tail, and consecutive points in
-    /// a chunk share their advance work.
-    pub refine: bool,
     /// Fork-dispatch worker threads (1 = inline on the calling thread;
     /// results are identical either way).
     pub jobs: usize,
 }
 
 impl SweepConfig {
-    /// PR 9's layout: flat cadence, no tree, serial dispatch.
-    pub fn flat(snap_every: u64) -> Self {
-        SweepConfig {
-            snap_every,
-            snap_budget: 0,
-            refine: false,
-            jobs: 1,
-        }
-    }
-
-    /// The tree layout: budgeted spine plus per-fork refinement leaves.
-    pub fn tree(snap_every: u64) -> Self {
+    /// A serial sweep with a spine snapshot every `snap_every` writes,
+    /// at most 64 of them resident.
+    pub fn new(snap_every: u64) -> Self {
         SweepConfig {
             snap_every,
             snap_budget: 64,
-            refine: true,
             jobs: 1,
         }
     }
@@ -492,43 +492,17 @@ impl SweepConfig {
     }
 }
 
-/// Runs a crash-point sweep over one workload: the prefix simulates once,
-/// machine snapshots are taken copy-on-write every `snap_every`
-/// persistent writes (quantized to step boundaries), and every crash
-/// point forks from the latest preceding snapshot instead of
-/// re-simulating from cycle 0 — O(points × dirty state) instead of
-/// O(points × run length).
-///
-/// This is the flat serial layout, [`SweepConfig::flat`]; see
-/// [`run_sweep_with`] for the snapshot tree and parallel fork dispatch.
-///
-/// Each fork arms the power failure at exactly the absolute write count
-/// the legacy path would have crashed on, and both paths execute the same
-/// [`Machine::step_thread`] loop, so a fork's `RunResult` is
-/// byte-identical to `run(&spec.with_crash_after(point))` — the
-/// equivalence suite enforces this. The baseline is what [`run`] returns
-/// for the unarmed spec, plus the `crash_points` summary.
-///
-/// # Panics
-///
-/// Panics if `spec.crash_after` is set (the sweep owns crash arming), or
-/// if a scheme invariant or crash-consistency check fails in any fork.
-pub fn run_sweep(spec: &WorkloadSpec, points: &[u64], snap_every: u64) -> SweepResult {
-    run_sweep_with(spec, points, &SweepConfig::flat(snap_every))
-}
-
 /// Immutable state one sweep's fork workers share by reference.
 struct SweepShared<'a> {
     spec: &'a WorkloadSpec,
     marks: SetupMarks,
-    cfg: SweepConfig,
     /// Requested crash points, in request order.
     points: &'a [u64],
     /// Point indices sorted ascending by point value — the processing
     /// order that keeps each chunk on one stretch of the prefix.
     order: &'a [usize],
     /// Realized post-step `pm_write_ops` values of the prefix, ascending
-    /// — the refinement targets (every crash point lies between two).
+    /// — the leaf targets (every crash point lies between two).
     boundaries: &'a [u64],
     /// Spine snapshots. `Mutex` because a snapshot is `Send` but not
     /// `Sync` (the PM image keeps single-thread `Cell` caches): workers
@@ -536,42 +510,47 @@ struct SweepShared<'a> {
     spine: &'a [Mutex<(MachineSnapshot, Vec<ThreadState>)>],
     /// `pm_write_ops` of each spine snapshot (lock-free index).
     spine_writes: &'a [u64],
-    /// One result slot per requested point, filled by whichever worker
-    /// runs it; the merge reads them back in request order, which is what
-    /// makes the output independent of worker count and timing.
-    slots: &'a [Mutex<Option<(RunResult, u64)>>],
     bench: AnyBench,
 }
 
-/// Processes one contiguous chunk of the sorted point order on `m`.
+/// Processes one contiguous chunk of the sorted point order on `m` and
+/// returns each point's `(request index, fork result, replayed writes)`.
 ///
-/// Flat mode restores the latest preceding spine snapshot for every
-/// point. Tree mode restores once per chunk, then walks forward taking a
-/// refinement leaf at the last step boundary before each point: the
-/// armed replay is bounded by one step's writes, and consecutive points
-/// share the advance work. Both modes run the same
-/// [`Machine::step_thread`] loop as [`run`], so results are identical.
-fn sweep_chunk(sh: &SweepShared<'_>, range: std::ops::Range<usize>, m: &mut Machine, worker: u64) {
+/// The chunk restores the latest spine snapshot before its first point
+/// once, then walks forward taking a leaf snapshot at the last step
+/// boundary before each point: the armed replay is bounded by one step's
+/// writes, and consecutive points share the advance work. Forks run the
+/// same [`Machine::step_thread`] loop as [`run`], so results are
+/// identical.
+fn sweep_chunk(
+    sh: &SweepShared<'_>,
+    range: std::ops::Range<usize>,
+    m: &mut Machine,
+    worker: u64,
+) -> Vec<(usize, RunResult, u64)> {
     use asap_sim::obs::{events, metrics};
     let idxs = &sh.order[range];
-    if idxs.is_empty() {
-        return;
-    }
+    let mut out = Vec::with_capacity(idxs.len());
+    let Some(&first) = idxs.first() else {
+        return out;
+    };
     let spec = sh.spec;
     let mut bench = sh.bench;
     let state: SharedStates = Rc::new(RefCell::new(Vec::new()));
-    // The chunk's refinement leaf: machine + driver state at the last
-    // step boundary before the current point, re-snapshotted as the walk
-    // advances (depth counts leaves taken since the spine snapshot).
-    let mut cur: Option<(MachineSnapshot, Vec<ThreadState>)> = None;
-    let mut depth = 0u64;
-    if sh.cfg.refine {
-        let limit = sh.marks.armed_base + sh.points[idxs[0]].max(1);
+    {
+        let limit = sh.marks.armed_base + sh.points[first].max(1);
         let si = sh.spine_writes.partition_point(|&w| w < limit) - 1;
-        let g = sh.spine[si].lock().unwrap();
+        let g = sh.spine[si]
+            .lock()
+            .expect("no worker panics holding a spine lock");
         m.restore(&g.0);
         state.borrow_mut().clone_from(&g.1);
     }
+    // The chunk's leaf: machine + driver state at the last step boundary
+    // before the current point, re-snapshotted as the walk advances
+    // (depth counts leaves taken since the spine snapshot).
+    let mut cur: Option<(MachineSnapshot, Vec<ThreadState>)> = None;
+    let mut depth = 0u64;
     for (k, &i) in idxs.iter().enumerate() {
         let n = sh.points[i];
         let armed_abs = sh.marks.armed_base + n;
@@ -579,42 +558,33 @@ fn sweep_chunk(sh: &SweepShared<'_>, range: std::ops::Range<usize>, m: &mut Mach
         // strictly below the armed count. (`n = 0` fires on the next
         // write exactly like `n = 1` — the arming check is `>=`.)
         let limit = sh.marks.armed_base + n.max(1);
-        let snap_writes;
-        if sh.cfg.refine {
-            let b = sh.boundaries[sh.boundaries.partition_point(|&w| w < limit) - 1];
-            if m.pm_write_ops() < b || cur.is_none() {
-                if m.pm_write_ops() < b {
-                    // Advance unarmed to the target boundary. Replay of a
-                    // restored prefix is deterministic, so the write
-                    // count lands on `b` exactly (it is a realized
-                    // boundary of this very prefix).
-                    let mut steps = shared_steps(bench, spec, &state);
-                    m.begin_schedule();
-                    while m.pm_write_ops() < b {
-                        let Some(t) = m.next_runnable() else { break };
-                        let out = m.step_thread(t, &mut steps[t]);
-                        debug_assert_ne!(out, StepOutcome::Crashed, "the advance runs unarmed");
-                    }
-                }
-                depth += 1;
-                metrics::counter("snapshot.tree.leaves").inc();
-                match &mut cur {
-                    Some((s, st)) => {
-                        *s = m.snapshot();
-                        st.clone_from(&state.borrow());
-                    }
-                    None => cur = Some((m.snapshot(), state.borrow().clone())),
+        let b = sh.boundaries[sh.boundaries.partition_point(|&w| w < limit) - 1];
+        if m.pm_write_ops() < b || cur.is_none() {
+            if m.pm_write_ops() < b {
+                // Advance unarmed to the target boundary. Replay of a
+                // restored prefix is deterministic, so the write count
+                // lands on `b` exactly (it is a realized boundary of
+                // this very prefix).
+                let mut steps = shared_steps(bench, spec, &state);
+                m.begin_schedule();
+                while m.pm_write_ops() < b {
+                    let Some(t) = m.next_runnable() else { break };
+                    let out = m.step_thread(t, &mut steps[t]);
+                    debug_assert_ne!(out, StepOutcome::Crashed, "the advance runs unarmed");
                 }
             }
-            snap_writes = m.pm_write_ops();
-        } else {
-            let si = sh.spine_writes.partition_point(|&w| w < limit) - 1;
-            let g = sh.spine[si].lock().unwrap();
-            m.restore(&g.0);
-            state.borrow_mut().clone_from(&g.1);
-            snap_writes = sh.spine_writes[si];
+            depth += 1;
+            metrics::counter("snapshot.tree.leaves").inc();
+            match &mut cur {
+                Some((s, st)) => {
+                    *s = m.snapshot();
+                    st.clone_from(&state.borrow());
+                }
+                None => cur = Some((m.snapshot(), state.borrow().clone())),
+            }
         }
-        m.arm_crash_after_additional(armed_abs - m.pm_write_ops());
+        let snap_writes = m.pm_write_ops();
+        m.arm_crash_after_additional(armed_abs - snap_writes);
         metrics::counter("snapshot.forks").add(1);
         let mut steps = shared_steps(bench, spec, &state);
         let outcome = m.run(&mut steps);
@@ -628,36 +598,45 @@ fn sweep_chunk(sh: &SweepShared<'_>, range: std::ops::Range<usize>, m: &mut Mach
                 .field_u64("crash_after", n)
                 .field_u64("snap_writes", snap_writes - sh.marks.armed_base)
                 .field_u64("replayed", replayed)
-                .field_u64("tree_depth", if sh.cfg.refine { depth } else { 0 })
+                .field_u64("tree_depth", depth)
                 .field_u64("worker", worker)
                 .emit();
         }
         let fspec = spec.with_crash_after(n);
-        let r = collect(m, &mut bench, &fspec, outcome, &sh.marks);
-        *sh.slots[i].lock().unwrap() = Some((r, replayed));
-        if sh.cfg.refine && k + 1 < idxs.len() {
+        out.push((
+            i,
+            collect(m, &mut bench, &fspec, outcome, &sh.marks),
+            replayed,
+        ));
+        if k + 1 < idxs.len() {
             // Rewind to the leaf for the next point's advance.
             let (s, st) = cur.as_ref().expect("leaf exists after the first fork");
             m.restore(s);
             state.borrow_mut().clone_from(st);
         }
     }
+    out
 }
 
-/// [`run_sweep`] with an explicit [`SweepConfig`]: the adaptive snapshot
-/// tree and the parallel fork engine.
+/// Runs a crash-point sweep over one workload: the prefix simulates once,
+/// and every crash point forks from a machine snapshot instead of
+/// re-simulating from cycle 0 — O(points × dirty state) instead of
+/// O(points × run length).
 ///
-/// The prefix simulates once (serially — it is one deterministic
-/// simulation), recording spine snapshots at the budget-compacted cadence
-/// plus every realized step-boundary write count. Forks then dispatch in
-/// ascending point order across `cfg.jobs` scoped workers (self-scheduled
-/// over contiguous chunks, each worker owning one scratch [`Machine`] —
-/// snapshots are `Send`, so restoring them in a worker is ordinary data
-/// movement), and results merge back in request order. Determinism
-/// argument: a fork's result depends only on the restored snapshot and
-/// the armed count, never on which worker ran it or when, so the merged
-/// output is bit-identical to the serial sweep at any `cfg.jobs` — and to
-/// the legacy one-run-per-point path.
+/// The prefix runs serially (it is one deterministic simulation),
+/// recording copy-on-write spine snapshots at the budget-compacted
+/// `cfg.snap_every` cadence plus every realized step-boundary write
+/// count. Forks then run in ascending point order, in contiguous chunks
+/// on the shared host pool ([`asap_sim::pool::map`], `cfg.jobs` workers,
+/// each owning one scratch [`Machine`] — worker 0's is the prefix
+/// machine, so a serial sweep builds no second one), and results merge
+/// back in request order. Each fork arms the power failure at exactly the
+/// absolute write count the legacy path would have crashed on, and both
+/// paths execute the same [`Machine::step_thread`] loop, so a fork's
+/// `RunResult` is byte-identical to `run(&spec.with_crash_after(point))`
+/// at any `cfg.jobs` — the equivalence suites enforce this. The baseline
+/// is what [`run`] returns for the unarmed spec, plus the `crash_points`
+/// summary.
 ///
 /// # Panics
 ///
@@ -677,7 +656,7 @@ pub fn run_sweep_with(spec: &WorkloadSpec, points: &[u64], cfg: &SweepConfig) ->
     // Prefix: one uninterrupted run, snapshotting machine + driver state
     // at step boundaries. The first snapshot (taken before any step, at
     // the armed origin) covers every crash point on its own; later ones
-    // only shorten the replay distance.
+    // only shorten the advance.
     let mut spine: Vec<(MachineSnapshot, Vec<ThreadState>)> =
         vec![(m.snapshot(), state.borrow().clone())];
     let mut boundaries: Vec<u64> = vec![m.pm_write_ops()];
@@ -697,7 +676,7 @@ pub fn run_sweep_with(spec: &WorkloadSpec, points: &[u64], cfg: &SweepConfig) ->
                 // Over budget: evict every other snapshot (even indices
                 // survive, so the origin always does) and double the
                 // cadence — logarithmic thinning keeps memory O(budget)
-                // and flat replay distance O(prefix / budget).
+                // and the advance from a spine snapshot O(prefix / budget).
                 let mut idx = 0usize;
                 spine.retain(|_| {
                     let keep = idx.is_multiple_of(2);
@@ -719,8 +698,8 @@ pub fn run_sweep_with(spec: &WorkloadSpec, points: &[u64], cfg: &SweepConfig) ->
     let mut baseline = collect(&mut m, &mut bench, spec, RunOutcome::Completed, &marks);
 
     // Fork dispatch. Ascending point order keeps each chunk on one
-    // stretch of the prefix; chunks are self-scheduled (the `run_grid`
-    // pool pattern) so stragglers rebalance.
+    // stretch of the prefix; `jobs × 4` chunks let stragglers rebalance
+    // across the pool's self-scheduling workers.
     let mut order: Vec<usize> = (0..points.len()).collect();
     order.sort_by_key(|&i| (points[i], i));
     let jobs = cfg.jobs.max(1).min(points.len().max(1));
@@ -729,69 +708,38 @@ pub fn run_sweep_with(spec: &WorkloadSpec, points: &[u64], cfg: &SweepConfig) ->
     } else {
         (jobs * 4).min(points.len())
     };
-    let chunks: Vec<std::ops::Range<usize>> = (0..chunk_count)
-        .map(|c| (c * points.len() / chunk_count)..((c + 1) * points.len() / chunk_count))
-        .collect();
     let spine_writes: Vec<u64> = spine.iter().map(|(s, _)| s.pm_write_ops()).collect();
     let spine: Vec<Mutex<(MachineSnapshot, Vec<ThreadState>)>> =
         spine.into_iter().map(Mutex::new).collect();
-    let slots: Vec<Mutex<Option<(RunResult, u64)>>> =
-        points.iter().map(|_| Mutex::new(None)).collect();
     let shared = SweepShared {
         spec,
         marks,
-        cfg: *cfg,
         points,
         order: &order,
         boundaries: &boundaries,
         spine: &spine,
         spine_writes: &spine_writes,
-        slots: &slots,
         bench,
     };
-    if jobs == 1 {
-        for r in &chunks {
-            sweep_chunk(&shared, r.clone(), &mut m, 0);
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|sc| {
-            for w in 0..jobs.min(chunk_count) {
-                let shared = &shared;
-                let chunks = &chunks;
-                let next = &next;
-                sc.spawn(move || {
-                    let mut wm = machine_for(shared.spec);
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(r) = chunks.get(c) else { break };
-                        sweep_chunk(shared, r.clone(), &mut wm, w as u64);
-                    }
-                });
-            }
-        });
-    }
+    // Worker scratch machines are built here, before any worker starts.
+    let mut machines = vec![m];
+    machines.extend((1..jobs.min(chunk_count)).map(|_| machine_for(spec)));
+    let chunks = asap_sim::pool::map(&mut machines, chunk_count, |m, c, w| {
+        let range = (c * points.len() / chunk_count)..((c + 1) * points.len() / chunk_count);
+        sweep_chunk(&shared, range, m, w as u64)
+    });
 
-    // Merge in request order: output is a pure function of the slots.
+    // Merge in request order: output is a pure function of the chunks.
+    let mut slots: Vec<Option<(RunResult, u64)>> = points.iter().map(|_| None).collect();
+    for (i, r, replayed) in chunks.into_iter().flatten() {
+        slots[i] = Some((r, replayed));
+    }
     let mut forks = Vec::with_capacity(points.len());
     let mut replayed_writes = 0u64;
-    for (i, slot) in slots.into_iter().enumerate() {
-        let (r, replayed) = slot
-            .into_inner()
-            .expect("slot mutex poisoned")
-            .expect("every point produces a fork");
+    for (&n, slot) in points.iter().zip(slots) {
+        let (r, replayed) = slot.expect("every point produces a fork");
         replayed_writes += replayed;
-        baseline.crash_points.push(CrashPointOutcome {
-            crash_after: points[i],
-            crashed: r.outcome == RunOutcome::Crashed,
-            uncommitted: r
-                .recovery
-                .as_ref()
-                .map_or(0, |x| x.uncommitted.len() as u64),
-            replayed: r.recovery.as_ref().map_or(0, |x| x.replayed.len() as u64),
-            restored_lines: r.recovery.as_ref().map_or(0, |x| x.restored_lines),
-            tx: r.tx,
-        });
+        baseline.crash_points.push(CrashPointOutcome::of(n, &r));
         forks.push(r);
     }
     SweepResult {
@@ -1028,7 +976,7 @@ mod tests {
         // Mixed coverage: early, mid, near-end, and one point beyond the
         // workload's writes (the fork completes instead of crashing).
         let points = [1u64, 7, 23, 40, 1_000_000];
-        let sw = run_sweep(&spec, &points, 8);
+        let sw = run_sweep_with(&spec, &points, &SweepConfig::new(8));
         assert_eq!(sw.forks.len(), points.len());
         for (i, &n) in points.iter().enumerate() {
             let legacy = run(&spec.with_crash_after(n));
@@ -1050,39 +998,42 @@ mod tests {
     }
 
     #[test]
-    fn tree_and_parallel_sweeps_match_flat_serial() {
+    fn sweep_configs_match_legacy_runs() {
         use crate::resultjson::results_identical;
         let spec = small(BenchId::Hm, SchemeKind::Asap).with_tracking();
         let points = [3u64, 1, 17, 17, 30, 1_000_000];
-        let flat = run_sweep_with(&spec, &points, &SweepConfig::flat(8));
+        let legacy: Vec<RunResult> = points
+            .iter()
+            .map(|&n| run(&spec.with_crash_after(n)))
+            .collect();
+        let plain = run(&spec);
+        let prefix_writes = enumerate_crash_points(&spec, 1).prefix_writes;
         for cfg in [
-            SweepConfig::tree(8),
-            SweepConfig::tree(8).with_budget(2),
-            SweepConfig::flat(8).with_jobs(3),
-            SweepConfig::tree(8).with_jobs(2),
-            SweepConfig::tree(1).with_budget(1).with_jobs(4),
+            SweepConfig::new(8),
+            SweepConfig::new(8).with_budget(2),
+            SweepConfig::new(8).with_budget(0).with_jobs(3),
+            SweepConfig::new(8).with_jobs(2),
+            SweepConfig::new(1).with_budget(1).with_jobs(4),
         ] {
             let sw = run_sweep_with(&spec, &points, &cfg);
+            let mut stripped = sw.baseline.clone();
+            stripped.crash_points.clear();
             assert!(
-                results_identical(&sw.baseline, &flat.baseline),
+                results_identical(&stripped, &plain),
                 "baseline diverged under {cfg:?}"
             );
-            assert_eq!(sw.baseline.crash_points, flat.baseline.crash_points);
-            assert_eq!(sw.prefix_writes, flat.prefix_writes);
-            for (i, (a, b)) in sw.forks.iter().zip(&flat.forks).enumerate() {
+            assert_eq!(sw.prefix_writes, prefix_writes);
+            assert_eq!(sw.forks.len(), points.len());
+            for (i, (fork, l)) in sw.forks.iter().zip(&legacy).enumerate() {
                 assert!(
-                    results_identical(a, b),
+                    results_identical(fork, l),
                     "fork {} (point {}) diverged under {cfg:?}",
                     i,
                     points[i]
                 );
-            }
-            if cfg.refine {
-                assert!(
-                    sw.replayed_writes < flat.replayed_writes,
-                    "tree replays less: {} vs flat {} under {cfg:?}",
-                    sw.replayed_writes,
-                    flat.replayed_writes
+                assert_eq!(
+                    sw.baseline.crash_points[i],
+                    CrashPointOutcome::of(points[i], l)
                 );
             }
         }
@@ -1108,7 +1059,7 @@ mod tests {
         assert_eq!(s.prefix_writes, a.prefix_writes);
         // The plan's points are ordinary crash_after coordinates: a
         // sweep over them behaves like any other sweep.
-        let sw = run_sweep_with(&spec, &s.points, &SweepConfig::tree(8));
+        let sw = run_sweep_with(&spec, &s.points, &SweepConfig::new(8));
         assert!(sw.baseline.crash_points.iter().all(|p| p.crashed));
     }
 

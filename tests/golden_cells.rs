@@ -13,16 +13,22 @@
 //! lazily drained WPQ whose drain checks land thousands of cycles out,
 //! and a traced cell that records every WPQ accept and drain.
 //!
+//! One crash sweep is pinned the same way by `tests/golden/sweep.txt`:
+//! the baseline (crash-point summary included) and every fork of a
+//! lifecycle-planned sweep, hashed as one concatenated result JSON.
+//!
 //! On a mismatch the test names the first differing cell and prints the
-//! line the new code would write. Update the file by hand only when a
+//! line the new code would write. Update the files by hand only when a
 //! change is meant to alter simulated results.
 
+use asap_bench::runcache::RunCacheConfig;
 use asap_core::scheme::SchemeKind;
 use asap_sim::fingerprint::hash_bytes;
 use asap_sim::{SystemConfig, TelemetrySettings, TraceSettings};
-use asap_workloads::{resultjson, run, BenchId, WorkloadSpec};
+use asap_workloads::{enumerate_crash_points, resultjson, run, BenchId, WorkloadSpec};
 
 const GOLDEN: &str = include_str!("golden/cells.txt");
+const SWEEP_GOLDEN: &str = include_str!("golden/sweep.txt");
 
 fn cells() -> Vec<(&'static str, WorkloadSpec)> {
     let mut delayed = SystemConfig::table2();
@@ -102,4 +108,30 @@ fn cells_match_committed_goldens() {
             "first differing cell: {label}\nnew golden line: {label} {digest}"
         );
     }
+}
+
+#[test]
+fn sweep_matches_committed_golden() {
+    let label = "hm-asap-t2-o30-sweep16";
+    let spec = WorkloadSpec::small(BenchId::Hm, SchemeKind::Asap)
+        .with_threads(2)
+        .with_ops(30)
+        .with_tracking();
+    let plan = enumerate_crash_points(&spec, 16);
+    let sweep = asap_bench::run_crash_sweep_with(
+        &spec,
+        &plan.points,
+        (plan.prefix_writes / 8).max(1),
+        &RunCacheConfig::off(),
+    );
+    let mut json = resultjson::to_json(&sweep.baseline);
+    for fork in &sweep.forks {
+        json.push_str(&resultjson::to_json(fork));
+    }
+    let line = format!("{label} {}", hash_bytes(json.as_bytes()).hex());
+    assert_eq!(
+        SWEEP_GOLDEN.trim_end(),
+        line,
+        "the sweep diverged\nnew golden line: {line}"
+    );
 }

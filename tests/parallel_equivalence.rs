@@ -176,7 +176,8 @@ fn env_driven_grid_matches_serial_reference() {
 /// snapshot-restored mid-run, then crashed and recovered — has to be
 /// byte-identical to the legacy one-full-run-per-point path, whether the
 /// legacy reference ran serially or through the parallel pool, and
-/// whether its cells were simulated or served from a disk store.
+/// whether its cells were simulated, served from a disk store, or fanned
+/// out from a duplicate point.
 #[test]
 fn crash_sweeps_are_identical_to_legacy_crash_cells() {
     use asap_bench::run_crash_sweep_with;
@@ -184,9 +185,10 @@ fn crash_sweeps_are_identical_to_legacy_crash_cells() {
         .with_threads(2)
         .with_ops(30)
         .with_tracking();
-    // Early, mid, late, and one point beyond the workload's writes (that
-    // fork completes instead of crashing).
-    let points = [1u64, 11, 29, 64, 1_000_000];
+    // Early, mid (twice: a duplicate fans out), late, and one point
+    // beyond the workload's writes (that fork completes instead of
+    // crashing).
+    let points = [1u64, 11, 29, 11, 64, 1_000_000];
     let crash_specs: Vec<WorkloadSpec> = points.iter().map(|&n| spec.with_crash_after(n)).collect();
 
     // Legacy reference: one full re-run per point, via the parallel pool
@@ -221,18 +223,35 @@ fn crash_sweeps_are_identical_to_legacy_crash_cells() {
         }
         assert_eq!(cached.baseline.crash_points, sweep.baseline.crash_points);
     }
+    assert_eq!(warm.prefix_writes, 0, "a fully warm sweep never re-runs");
+
+    // Partly warm: the baseline and the old points hit, one new point
+    // misses and is swept alone; it must still match its legacy run and
+    // slot into the summary in request order.
+    let extended = [1u64, 11, 29, 11, 64, 1_000_000, 47];
+    let mixed = run_crash_sweep_with(&spec, &extended, 16, &store);
+    let new_legacy = run_grid_with(&[spec.with_crash_after(47)], 1, &RunCacheConfig::off());
+    for (a, b) in mixed.forks.iter().zip(legacy.iter().chain(&new_legacy)) {
+        assert_identical(a, b);
+    }
+    assert!(
+        mixed.prefix_writes > 0,
+        "the missed point re-ran the prefix"
+    );
+    assert_eq!(
+        mixed.baseline.crash_points[..points.len()],
+        sweep.baseline.crash_points[..]
+    );
+    assert_eq!(mixed.baseline.crash_points[points.len()].crash_after, 47);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The parallel sweep engine stacks two axes of host parallelism —
 /// fork-dispatch workers (`ASAP_SWEEP_JOBS`) and the grid pool that
 /// produces the legacy reference (`ASAP_JOBS`) — and every combination
-/// must still be bit-identical to the serial flat sweep and to the
-/// legacy one-run-per-point path.
-/// Tree refinement (the fourth axis) rides along: tree-restored forks
-/// must match flat-cadence forks under every dispatch mode.
+/// must still be bit-identical to the legacy one-run-per-point path.
 #[test]
-fn parallel_tree_sweeps_match_serial_flat_and_legacy() {
+fn parallel_tree_sweeps_match_legacy() {
     use asap_workloads::{run_sweep_with, SweepConfig};
     let spec = WorkloadSpec::new(BenchId::Hm, SchemeKind::Asap)
         .with_threads(2)
@@ -242,28 +261,15 @@ fn parallel_tree_sweeps_match_serial_flat_and_legacy() {
     let crash_specs: Vec<WorkloadSpec> = points.iter().map(|&n| spec.with_crash_after(n)).collect();
     // Legacy reference through the 4-way grid pool (the ASAP_JOBS axis).
     let legacy = run_grid_with(&crash_specs, 4, &RunCacheConfig::off());
-    let flat = run_sweep_with(&spec, &points, &SweepConfig::flat(16));
-    for (a, b) in flat.forks.iter().zip(&legacy) {
-        assert_identical(a, b);
-    }
+    let serial = run_sweep_with(&spec, &points, &SweepConfig::new(16).with_budget(2));
     for sweep_jobs in [1usize, 2, 4] {
-        for cfg in [
-            SweepConfig::flat(16).with_jobs(sweep_jobs),
-            SweepConfig::tree(16).with_budget(2).with_jobs(sweep_jobs),
-        ] {
-            let sw = run_sweep_with(&spec, &points, &cfg);
-            for (a, b) in sw.forks.iter().zip(&flat.forks) {
-                assert_identical(a, b);
-            }
-            assert_eq!(sw.baseline.crash_points, flat.baseline.crash_points);
-            assert_eq!(sw.prefix_writes, flat.prefix_writes);
-            if cfg.refine {
-                assert!(
-                    sw.replayed_writes <= flat.replayed_writes,
-                    "tree replay must not exceed flat ({cfg:?})"
-                );
-            }
+        let cfg = SweepConfig::new(16).with_budget(2).with_jobs(sweep_jobs);
+        let sw = run_sweep_with(&spec, &points, &cfg);
+        for (a, b) in sw.forks.iter().zip(&legacy) {
+            assert_identical(a, b);
         }
+        assert_eq!(sw.baseline.crash_points, serial.baseline.crash_points);
+        assert_eq!(sw.prefix_writes, serial.prefix_writes);
     }
 }
 
