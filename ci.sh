@@ -126,6 +126,19 @@ grep -q "all 32 forks identical to legacy re-runs" target/crash_sweep.out \
        cat target/crash_sweep.err >&2; exit 1; }
 sed -n 's/^crash_sweep: /    /p' target/crash_sweep.err
 
+echo "==> benchmark crash-sweep correctness (perfbench, 1s; not a perf gate)"
+# The benchmark's 1000-point sweep must stay correct: every fork recovers
+# and repeats, and the results match the committed reference digest.
+# Throughput is not checked here; the benchmark's own runs compare it.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload crash_sweep --seconds 1 --trace 0 >target/perfbench_sweep.out 2>target/perfbench_sweep.err
+grep -q '"correct":true' target/perfbench_sweep.out \
+  || { echo "PERFBENCH FAILURE: crash_sweep reported incorrect results" >&2; \
+       cat target/perfbench_sweep.err >&2; exit 1; }
+grep -q '"reference":"match"' target/perfbench_sweep.out \
+  || { echo "PERFBENCH FAILURE: crash_sweep results differ from the reference" >&2; exit 1; }
+echo "    crash_sweep correct, reference match"
+
 echo "==> parallel sweep smoke (1000 lifecycle points, ASAP_SWEEP_JOBS=2 vs serial)"
 # Snapshot-tree sweep over a 1000-point lifecycle plan, run twice: serial
 # and with two fork workers. Stdout must be byte-identical (determinism

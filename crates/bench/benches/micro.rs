@@ -315,6 +315,17 @@ fn bench_snapshot() {
     bench("machine_restore_small", || {
         m.restore(&snap);
     });
+    // A sweep's leaf re-snapshot: the same snapshot, written into an
+    // existing one's buffers.
+    let mut leaf = m.snapshot();
+    bench("machine_resnapshot_small", || {
+        m.snapshot_into(&mut leaf);
+    });
+    // Construction: every legacy run and every sweep worker's scratch
+    // machine pays it once.
+    bench_with("machine_new_small", 20, 200, || {
+        black_box(Machine::new(MachineConfig::small(SchemeKind::Asap, 1)));
+    });
 }
 
 fn bench_sweep() {

@@ -182,19 +182,25 @@ pub enum StepOutcome {
     Crashed,
 }
 
-/// A frozen deep copy of a [`Machine`]'s complete state — hardware
-/// (caches, WPQs, event wheel, PM image via copy-on-write pages, logs,
-/// stats, traces), scheme state, thread clocks, locks and region
-/// bookkeeping.
+/// A frozen deep copy of a [`Machine`]'s complete simulation state —
+/// hardware (caches, WPQs, event wheel, PM image via copy-on-write pages,
+/// logs, stats, traces), scheme state, thread clocks, locks and region
+/// bookkeeping. Host-only observer counters (image access statistics,
+/// calendar full scans, per-channel event counts, crash-candidate
+/// recording) are not part of it.
 ///
-/// Taking one is O(volatile state + touched pages) pointer/`memcpy` work:
+/// Taking one is O(volatile state + written pages) pointer/`memcpy` work:
 /// the PM image contributes only a refcounted pointer-table copy, so large
 /// heaps snapshot in microseconds and pay per-page deep copies lazily, on
 /// first write after the fork ([`MemoryImage::snapshot`](asap_pmem::MemoryImage::snapshot)).
+/// Persistent page bits are a short range list, so untouched log buffers
+/// and dump area cost nothing.
 ///
-/// Restoring with [`Machine::restore`] reuses the destination's
-/// allocations (`clone_from` all the way down), which keeps a
-/// fork-restore-run crash sweep allocation-flat after the first fork.
+/// [`Machine::restore`] and [`Machine::snapshot_into`] copy into the
+/// destination's existing buffers: every structure on the path has a
+/// field-wise `clone_from`, and the image skips pages both sides already
+/// share. Only the boxed scheme is rebuilt. A fork-restore-run crash sweep
+/// thus stays allocation-flat after the first fork.
 pub struct MachineSnapshot {
     cfg: MachineConfig,
     hw: Hw,
@@ -220,8 +226,8 @@ impl MachineSnapshot {
         self.pm_write_ops
     }
 
-    /// Approximate resident size: the PM image's touched pages (shared
-    /// with the live machine until written) — the dominant term.
+    /// Approximate resident size: the PM image's written pages (shared
+    /// with the live machine until written again) — the dominant term.
     pub fn approx_image_bytes(&self) -> u64 {
         self.hw.image.touched_pages() as u64 * asap_pmem::PAGE_BYTES
     }
@@ -272,6 +278,29 @@ pub struct Machine {
     /// state: deliberately excluded from snapshot/restore so a recording
     /// pilot run and a replaying fork never disagree on machine state.
     crash_candidates: Option<Vec<u64>>,
+}
+
+/// Copies every snapshotted field of `$src` into `$dst` in place: the one
+/// field list behind [`Machine::restore`] (snapshot → machine) and
+/// [`Machine::snapshot_into`] (machine → snapshot). Observer state
+/// (`crashed`, `crash_candidates`) is not in it.
+macro_rules! clone_state_from {
+    ($dst:ident, $src:ident) => {{
+        $dst.cfg = $src.cfg;
+        $dst.hw.clone_from(&$src.hw);
+        $dst.scheme = $src.scheme.clone_box();
+        $dst.clocks.clone_from(&$src.clocks);
+        $dst.locks.clone_from(&$src.locks);
+        $dst.nest.clone_from(&$src.nest);
+        $dst.local_rid.clone_from(&$src.local_rid);
+        $dst.cur_rid.clone_from(&$src.cur_rid);
+        $dst.region_start.clone_from(&$src.region_start);
+        $dst.started.clone_from(&$src.started);
+        $dst.tracker.clone_from(&$src.tracker);
+        $dst.pm_write_ops = $src.pm_write_ops;
+        $dst.crash_armed = $src.crash_armed;
+        $dst.tx_count = $src.tx_count;
+    }};
 }
 
 /// Appends a candidate coordinate unless it repeats the latest one — the
@@ -537,11 +566,30 @@ impl Machine {
         }
     }
 
+    /// [`snapshot`](Self::snapshot) into an existing snapshot's buffers:
+    /// afterwards `snap` equals what `*snap = self.snapshot()` would hold,
+    /// but its vectors, tables and page table are reused. Crash sweeps
+    /// re-snapshot their leaf this way as the walk advances.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine is in the crashed state.
+    pub fn snapshot_into(&self, snap: &mut MachineSnapshot) {
+        assert!(!self.crashed, "snapshot of a crashed machine");
+        clone_state_from!(snap, self);
+    }
+
     /// Rewinds the machine to `snap`, byte-for-byte: a subsequent run is
     /// indistinguishable — stats, traces, telemetry, outcomes — from one
-    /// that never forked. Reuses this machine's existing allocations
-    /// (`clone_from` down the whole ownership tree), so restore cost is
-    /// O(state actually differing), not O(heap).
+    /// that never forked. Copies field by field into this machine's
+    /// existing buffers, and the PM image re-points only the pages that
+    /// differ, so restore cost tracks the state the fork changed, not the
+    /// heap size.
+    ///
+    /// Host-only observer counters (image access statistics, calendar
+    /// full scans, per-channel event counts, crash-candidate recording)
+    /// are left as they are: they count work this machine did, including
+    /// the forks before the restore.
     ///
     /// # Panics
     ///
@@ -556,21 +604,8 @@ impl Machine {
             self.cfg.scheme, snap.cfg.scheme,
             "snapshot from a different scheme"
         );
-        self.cfg = snap.cfg;
-        self.hw.clone_from(&snap.hw);
-        self.scheme = snap.scheme.clone_box();
-        self.clocks.clone_from(&snap.clocks);
-        self.locks.clone_from(&snap.locks);
-        self.nest.clone_from(&snap.nest);
-        self.local_rid.clone_from(&snap.local_rid);
-        self.cur_rid.clone_from(&snap.cur_rid);
-        self.region_start.clone_from(&snap.region_start);
-        self.started.clone_from(&snap.started);
-        self.tracker.clone_from(&snap.tracker);
-        self.pm_write_ops = snap.pm_write_ops;
-        self.crash_armed = snap.crash_armed;
+        clone_state_from!(self, snap);
         self.crashed = false;
-        self.tx_count = snap.tx_count;
     }
 
     /// Persistent-line writes performed so far (the crash-injection
@@ -1164,6 +1199,7 @@ impl std::fmt::Debug for ThreadCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asap_pmem::ImageStats;
 
     fn machine(kind: SchemeKind) -> Machine {
         Machine::new(MachineConfig::small(kind, 2).with_tracking())
@@ -1679,6 +1715,129 @@ mod tests {
             assert_eq!(report.uncommitted, legacy_report.uncommitted, "{kind}");
             assert_eq!(fingerprint(&m), legacy_fp, "{kind}: fork == legacy");
         }
+    }
+
+    /// Runs the counter workload on `m` for `steps_before` steps and
+    /// returns the machine's state there as `(snapshot, driver counters)`;
+    /// the run then continues to completion.
+    fn mid_run_snapshot(
+        m: &mut Machine,
+        a: PmAddr,
+        steps_before: u32,
+        mut into: Option<&mut MachineSnapshot>,
+    ) -> (MachineSnapshot, Vec<u64>) {
+        let rem: Vec<_> = (0..2)
+            .map(|_| std::rc::Rc::new(std::cell::Cell::new(6u64)))
+            .collect();
+        let mut steps = counter_steps(a, &rem);
+        m.begin_schedule();
+        let mut taken = None;
+        let mut stepped = 0u32;
+        while let Some(t) = m.next_runnable() {
+            assert_ne!(m.step_thread(t, &mut steps[t]), StepOutcome::Crashed);
+            stepped += 1;
+            if stepped == steps_before {
+                if let Some(dst) = into.take() {
+                    m.snapshot_into(dst);
+                }
+                taken = Some((m.snapshot(), rem.iter().map(|r| r.get()).collect()));
+            }
+        }
+        taken.expect("snapshot taken")
+    }
+
+    /// Restores `snap` into `m`, optionally arms a crash, runs to the end
+    /// (recovering if the crash fired) and fingerprints the result.
+    fn fork(
+        m: &mut Machine,
+        a: PmAddr,
+        snap: &MachineSnapshot,
+        saved: &[u64],
+        crash: Option<u64>,
+    ) -> (RunOutcome, Vec<Rid>, (String, u64, u64, Cycle)) {
+        m.restore(snap);
+        let rem: Vec<_> = saved
+            .iter()
+            .map(|&v| std::rc::Rc::new(std::cell::Cell::new(v)))
+            .collect();
+        if let Some(k) = crash {
+            m.arm_crash_after_additional(k);
+        }
+        let mut steps = counter_steps(a, &rem);
+        let out = m.run(&mut steps);
+        let mut uncommitted = Vec::new();
+        if out == RunOutcome::Crashed {
+            uncommitted = m.recover().uncommitted.into_iter().collect();
+        } else {
+            m.drain();
+        }
+        (out, uncommitted, fingerprint(m))
+    }
+
+    #[test]
+    fn snapshot_into_forks_equal_snapshot_forks() {
+        for kind in [SchemeKind::HwUndo, SchemeKind::Asap] {
+            let mut m = Machine::new(MachineConfig::small(kind, 2).with_tracking());
+            let a = m.pm_alloc(64 * 8).unwrap();
+            m.drain();
+            m.sync_thread_clocks();
+            // The reused destination is a stale snapshot from before the
+            // run: different clocks, caches, WPQs, stats and pages.
+            let mut reused = m.snapshot();
+            let (fresh, saved) = mid_run_snapshot(&mut m, a, 5, Some(&mut reused));
+            assert_eq!(reused.pm_write_ops(), fresh.pm_write_ops());
+            assert_eq!(reused.approx_image_bytes(), fresh.approx_image_bytes());
+            for crash in [None, Some(1), Some(4), Some(9)] {
+                let from_fresh = fork(&mut m, a, &fresh, &saved, crash);
+                let from_reused = fork(&mut m, a, &reused, &saved, crash);
+                assert_eq!(from_reused, from_fresh, "{kind} crash {crash:?}");
+            }
+        }
+    }
+
+    /// Host-only counters are observer state: a restore neither rewinds
+    /// nor resets them, so what a fork takes after its run is exactly the
+    /// work it did after its restore — the same for every identical fork,
+    /// and never the prefix's work again.
+    #[test]
+    fn fork_host_counters_cover_only_work_after_restore() {
+        let take = |m: &mut Machine| {
+            (
+                m.hw().image.take_access_stats(),
+                m.hw().mem.take_calendar_full_scans(),
+                m.hw_mut().mem.take_channel_events(),
+            )
+        };
+        let mut m = Machine::new(MachineConfig::small(SchemeKind::Asap, 2));
+        let a = m.pm_alloc(64 * 8).unwrap();
+        m.drain();
+        m.sync_thread_clocks();
+        let (snap, saved) = mid_run_snapshot(&mut m, a, 3, None);
+        let prefix = take(&mut m);
+        assert!(prefix.0.lookups > 0 && prefix.2.iter().sum::<u64>() > 0);
+        let idle = take(&mut m);
+        assert_eq!(idle.0, ImageStats::default());
+
+        // A restore adds nothing of the snapshot's history...
+        m.restore(&snap);
+        assert_eq!(take(&mut m), idle);
+        // ...and keeps counts of work not yet taken.
+        fork(&mut m, a, &snap, &saved, Some(2));
+        let unflushed = m.hw().image.access_stats();
+        assert!(unflushed.lookups > 0);
+        m.restore(&snap);
+        assert_eq!(m.hw().image.access_stats(), unflushed);
+        take(&mut m);
+
+        // So identical forks report identical work.
+        let per_fork: Vec<_> = (0..3)
+            .map(|_| {
+                fork(&mut m, a, &snap, &saved, None);
+                take(&mut m)
+            })
+            .collect();
+        assert!(per_fork[0].0.lookups > 0);
+        assert!(per_fork.iter().all(|f| *f == per_fork[0]), "{per_fork:?}");
     }
 
     #[test]

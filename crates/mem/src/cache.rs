@@ -109,7 +109,6 @@ const NO_SLOT: u32 = u32::MAX;
 /// 3/4 load. Unlike `PageIndex` it also supports removal (LLC evictions),
 /// implemented as tombstone-free backward-shift deletion so probe chains
 /// never degrade over a long run.
-#[derive(Clone)]
 struct LineIndex {
     /// Key per bucket; `u64::MAX` marks an empty bucket.
     keys: Vec<u64>,
@@ -120,6 +119,36 @@ struct LineIndex {
 }
 
 const EMPTY_KEY: u64 = u64::MAX;
+
+// The cache structures below are restored from machine snapshots with
+// `clone_from`. Each copies field by field into the buffers the
+// destination already owns (a derived `clone_from` would reallocate
+// everything). Destructuring the source makes a newly added field a
+// compile error here until it is copied too.
+
+impl Clone for LineIndex {
+    fn clone(&self) -> Self {
+        LineIndex {
+            keys: self.keys.clone(),
+            slots: self.slots.clone(),
+            mask: self.mask,
+            len: self.len,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let LineIndex {
+            keys,
+            slots,
+            mask,
+            len,
+        } = src;
+        self.keys.clone_from(keys);
+        self.slots.clone_from(slots);
+        self.mask = *mask;
+        self.len = *len;
+    }
+}
 
 impl LineIndex {
     fn new() -> Self {
@@ -241,7 +270,6 @@ impl LineIndex {
 /// is set iff core `c`'s L1 tag array holds the line. One word covers up
 /// to 64 cores (`mask_words == 1`, the common case, keeps the single-word
 /// fast paths); wider machines get `ceil(cores / 64)` words per slot.
-#[derive(Clone)]
 struct LineSlab {
     /// Line address per slot; [`NO_LINE`] marks a free slot.
     keys: Vec<LineAddr>,
@@ -260,6 +288,45 @@ struct LineSlab {
     /// several times per simulated access for the same line, and a single
     /// compare beats even the open-addressed probe.
     last: Cell<(u64, u32)>,
+}
+
+impl Clone for LineSlab {
+    fn clone(&self) -> Self {
+        LineSlab {
+            keys: self.keys.clone(),
+            states: self.states.clone(),
+            l1_mask: self.l1_mask.clone(),
+            l2_mask: self.l2_mask.clone(),
+            mask_words: self.mask_words,
+            free: self.free.clone(),
+            index: self.index.clone(),
+            len: self.len,
+            last: self.last.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let LineSlab {
+            keys,
+            states,
+            l1_mask,
+            l2_mask,
+            mask_words,
+            free,
+            index,
+            len,
+            last,
+        } = src;
+        self.keys.clone_from(keys);
+        self.states.clone_from(states);
+        self.l1_mask.clone_from(l1_mask);
+        self.l2_mask.clone_from(l2_mask);
+        self.mask_words = *mask_words;
+        self.free.clone_from(free);
+        self.index.clone_from(index);
+        self.len = *len;
+        self.last.set(last.get());
+    }
 }
 
 impl LineSlab {
@@ -526,7 +593,7 @@ impl LineSlab {
 /// LRU victim selection looks at. Every stamping operation draws a fresh
 /// `tick`, so stamps are unique per array and the LRU minimum is unique —
 /// victim choice cannot depend on scan order or physical layout.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct TagArray {
     /// `sets * ways` line addresses, stride `ways`; `NO_LINE` = empty way.
     lines: Vec<LineAddr>,
@@ -541,6 +608,42 @@ struct TagArray {
     sets: usize,
     ways: usize,
     tick: u64,
+}
+
+impl Clone for TagArray {
+    fn clone(&self) -> Self {
+        TagArray {
+            lines: self.lines.clone(),
+            slots: self.slots.clone(),
+            stamps: self.stamps.clone(),
+            mru_line: self.mru_line.clone(),
+            mru_way: self.mru_way.clone(),
+            sets: self.sets,
+            ways: self.ways,
+            tick: self.tick,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let TagArray {
+            lines,
+            slots,
+            stamps,
+            mru_line,
+            mru_way,
+            sets,
+            ways,
+            tick,
+        } = src;
+        self.lines.clone_from(lines);
+        self.slots.clone_from(slots);
+        self.stamps.clone_from(stamps);
+        self.mru_line.clone_from(mru_line);
+        self.mru_way.clone_from(mru_way);
+        self.sets = *sets;
+        self.ways = *ways;
+        self.tick = *tick;
+    }
 }
 
 impl TagArray {
@@ -719,7 +822,6 @@ pub struct Probe {
 
 /// The full cache hierarchy: shared slab data store plus per-level SoA tag
 /// arrays carrying slab slot ids.
-#[derive(Clone)]
 pub struct CacheHierarchy {
     /// Shared data store for every cached line.
     slab: LineSlab,
@@ -732,6 +834,51 @@ pub struct CacheHierarchy {
     remote_lat: u64,
     store_cost: u64,
     evictions: EvictionCounts,
+}
+
+/// Snapshot support: `clone_from` overwrites the slab and every tag array
+/// in place, so a restore allocates nothing once the destination has
+/// reached the source's size.
+impl Clone for CacheHierarchy {
+    fn clone(&self) -> Self {
+        CacheHierarchy {
+            slab: self.slab.clone(),
+            l1: self.l1.clone(),
+            l2: self.l2.clone(),
+            llc: self.llc.clone(),
+            l1_lat: self.l1_lat,
+            l2_lat: self.l2_lat,
+            llc_lat: self.llc_lat,
+            remote_lat: self.remote_lat,
+            store_cost: self.store_cost,
+            evictions: self.evictions,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let CacheHierarchy {
+            slab,
+            l1,
+            l2,
+            llc,
+            l1_lat,
+            l2_lat,
+            llc_lat,
+            remote_lat,
+            store_cost,
+            evictions,
+        } = src;
+        self.slab.clone_from(slab);
+        self.l1.clone_from(l1);
+        self.l2.clone_from(l2);
+        self.llc.clone_from(llc);
+        self.l1_lat = *l1_lat;
+        self.l2_lat = *l2_lat;
+        self.llc_lat = *llc_lat;
+        self.remote_lat = *remote_lat;
+        self.store_cost = *store_cost;
+        self.evictions = *evictions;
+    }
 }
 
 impl CacheHierarchy {

@@ -86,7 +86,7 @@ struct FwdNode {
 }
 
 /// One memory channel: WPQ plus the PM write engine.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Channel {
     capacity: usize,
     /// Accepted entries in sequence order. When `writing` is `Some`, the
@@ -109,6 +109,44 @@ struct Channel {
     /// Node arena for `by_line`, recycled through `fwd_free`.
     fwd_nodes: Vec<FwdNode>,
     fwd_free: Vec<u32>,
+}
+
+/// Field-wise, so a snapshot restore copies into the destination's
+/// deques, index table and node arena instead of reallocating them.
+impl Clone for Channel {
+    fn clone(&self) -> Self {
+        Channel {
+            capacity: self.capacity,
+            wpq: self.wpq.clone(),
+            pending: self.pending.clone(),
+            writing: self.writing,
+            next_seq: self.next_seq,
+            by_line: self.by_line.clone(),
+            fwd_nodes: self.fwd_nodes.clone(),
+            fwd_free: self.fwd_free.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let Channel {
+            capacity,
+            wpq,
+            pending,
+            writing,
+            next_seq,
+            by_line,
+            fwd_nodes,
+            fwd_free,
+        } = src;
+        self.capacity = *capacity;
+        self.wpq.clone_from(wpq);
+        self.pending.clone_from(pending);
+        self.writing = *writing;
+        self.next_seq = *next_seq;
+        self.by_line.clone_from(by_line);
+        self.fwd_nodes.clone_from(fwd_nodes);
+        self.fwd_free.clone_from(fwd_free);
+    }
 }
 
 impl Channel {
@@ -246,13 +284,19 @@ pub struct MemSystem {
     /// PM media writes per line, kept only when telemetry asks for the
     /// hottest-lines table (`None` = tracking off, zero overhead).
     line_writes: Option<AddrMap<LineAddr, u64>>,
-    /// Events handled per channel (host metrics only, never on stdout).
+    /// Events handled per channel since construction or the last
+    /// [`take_channel_events`](MemSystem::take_channel_events) (host
+    /// metrics only, never on stdout). Observer state: a clone starts at
+    /// zero and `clone_from` leaves it alone.
     channel_events: Vec<u64>,
 }
 
 /// Snapshot support: a clone carries every piece of simulation state —
 /// channels (WPQ, pending, forward index + node arenas), the calendar
 /// wheel, the out queue, stats, trace, and hot-line counts — bit-exactly.
+/// The host-only counters (per-channel event counts, the calendar's
+/// full-scan count) are not simulation state: they count work this
+/// instance did.
 impl Clone for MemSystem {
     fn clone(&self) -> Self {
         MemSystem {
@@ -264,7 +308,7 @@ impl Clone for MemSystem {
             stats: self.stats.clone(),
             trace: self.trace.clone(),
             line_writes: self.line_writes.clone(),
-            channel_events: self.channel_events.clone(),
+            channel_events: vec![0; self.channel_events.len()],
         }
     }
 
@@ -272,15 +316,25 @@ impl Clone for MemSystem {
     /// deques, wheel buckets, and index tables keep their buffers across
     /// repeated restores into the same scratch machine.
     fn clone_from(&mut self, src: &Self) {
-        self.cfg = src.cfg;
-        self.channels.clone_from(&src.channels);
-        self.events.clone_from(&src.events);
-        self.out.clone_from(&src.out);
-        self.next_id = src.next_id;
-        self.stats.clone_from(&src.stats);
-        self.trace.clone_from(&src.trace);
-        self.line_writes.clone_from(&src.line_writes);
-        self.channel_events.clone_from(&src.channel_events);
+        let MemSystem {
+            cfg,
+            channels,
+            events,
+            out,
+            next_id,
+            stats,
+            trace,
+            line_writes,
+            channel_events: _,
+        } = src;
+        self.cfg = *cfg;
+        self.channels.clone_from(channels);
+        self.events.clone_from(events);
+        self.out.clone_from(out);
+        self.next_id = *next_id;
+        self.stats.clone_from(stats);
+        self.trace.clone_from(trace);
+        self.line_writes.clone_from(line_writes);
     }
 }
 
@@ -660,15 +714,17 @@ impl MemSystem {
             .unwrap_or(0)
     }
 
-    /// Sparse-tail full scans performed by the event calendar (see
-    /// [`EventQueue::full_scans`]).
-    pub fn calendar_full_scans(&self) -> u64 {
-        self.events.full_scans()
+    /// Sparse-tail full scans performed by the event calendar since the
+    /// last take, zeroing the count (see [`EventQueue::take_full_scans`]).
+    pub fn take_calendar_full_scans(&self) -> u64 {
+        self.events.take_full_scans()
     }
 
-    /// Events handled so far, per channel (host metrics only).
-    pub fn channel_events(&self) -> &[u64] {
-        &self.channel_events
+    /// Events handled per channel since the last take, zeroing the
+    /// counts (host metrics only).
+    pub fn take_channel_events(&mut self) -> Vec<u64> {
+        let zeros = vec![0; self.channel_events.len()];
+        std::mem::replace(&mut self.channel_events, zeros)
     }
 
     /// Counts DRAM traffic for a dirty non-PM writeback (fire-and-forget:

@@ -5,6 +5,10 @@
 //! WPQs, ops on the wire, channel backpressure — a read must always
 //! return the newest architectural value. Tiny caches force constant
 //! evictions; random advances interleave drain states.
+//!
+//! The same harness checks the snapshot restore path: `clone_from` into a
+//! machine that ran a different suffix must continue exactly like a fresh
+//! `clone`.
 
 use std::collections::HashMap;
 
@@ -40,6 +44,28 @@ struct Micro {
     mem: MemSystem,
     image: MemoryImage,
     now: Cycle,
+    /// Every memory event popped so far, rendered with `Debug`.
+    popped: Vec<String>,
+}
+
+impl Clone for Micro {
+    fn clone(&self) -> Self {
+        Micro {
+            caches: self.caches.clone(),
+            mem: self.mem.clone(),
+            image: self.image.clone(),
+            now: self.now,
+            popped: self.popped.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.caches.clone_from(&src.caches);
+        self.mem.clone_from(&src.mem);
+        self.image.clone_from(&src.image);
+        self.now = src.now;
+        self.popped.clone_from(&src.popped);
+    }
 }
 
 impl Micro {
@@ -71,6 +97,13 @@ impl Micro {
             mem: MemSystem::new(&cfg),
             image,
             now: Cycle(0),
+            popped: Vec::new(),
+        }
+    }
+
+    fn pop_all(&mut self) {
+        while let Some(e) = self.mem.pop_event() {
+            self.popped.push(format!("{e:?}"));
         }
     }
 
@@ -80,7 +113,7 @@ impl Micro {
 
     fn access(&mut self, core: usize, line: LineAddr, kind: AccessKind) {
         self.mem.advance_to(self.now, &mut self.image);
-        while self.mem.pop_event().is_some() {}
+        self.pop_all();
         let (fill, miss) = if self.caches.peek_level(core, line) == asap_mem::HitLevel::Memory {
             (
                 Some(self.mem.read_for_fill(line, &self.image)),
@@ -109,6 +142,56 @@ impl Micro {
     fn read(&mut self, core: usize, line: LineAddr) -> u8 {
         self.access(core, line, AccessKind::Load);
         self.caches.line(line).expect("filled").data[0]
+    }
+
+    fn advance(&mut self, d: u64) {
+        self.now += d;
+        self.mem.advance_to(self.now, &mut self.image);
+        self.pop_all();
+    }
+
+    fn drain(&mut self) {
+        while let Some(t) = self.mem.next_event_time() {
+            self.mem.advance_to(t, &mut self.image);
+            self.pop_all();
+        }
+    }
+
+    /// Runs `ops`, returning what each read saw.
+    fn run(&mut self, ops: &[Op]) -> Vec<u8> {
+        let mut reads = Vec::new();
+        for op in ops {
+            match *op {
+                Op::Write { core, line, value } => {
+                    self.write(core as usize, self.line(line), value)
+                }
+                Op::Read { core, line } => reads.push(self.read(core as usize, self.line(line))),
+                Op::Advance(d) => self.advance(d),
+            }
+        }
+        reads
+    }
+
+    /// Everything a continued run can observe: event log, clock, stats,
+    /// cache contents and memory contents.
+    fn observe(&self) -> (Vec<String>, Cycle, String, Vec<String>, Vec<[u8; 64]>) {
+        let mut lines: Vec<String> = self
+            .caches
+            .lines()
+            .map(|(l, st)| format!("{l:?} {:?} {} {}", st.data[0], st.dirty, st.pbit))
+            .collect();
+        lines.sort();
+        lines.push(format!("{:?}", self.caches.eviction_counts()));
+        let image = (0..96)
+            .map(|i| self.image.read_line(self.line(i)))
+            .collect();
+        (
+            self.popped.clone(),
+            self.now,
+            self.mem.stats().to_exact_json(),
+            lines,
+            image,
+        )
     }
 }
 
@@ -139,19 +222,12 @@ proptest! {
                         line, got, want, residency
                     );
                 }
-                Op::Advance(d) => {
-                    m.now += *d;
-                    m.mem.advance_to(m.now, &mut m.image);
-                    while m.mem.pop_event().is_some() {}
-                }
+                Op::Advance(d) => m.advance(*d),
             }
         }
         // Final check: after a full drain, the image agrees for every
         // line not still dirty in the cache.
-        while let Some(t) = m.mem.next_event_time() {
-            m.mem.advance_to(t, &mut m.image);
-            while m.mem.pop_event().is_some() {}
-        }
+        m.drain();
         for (line, want) in &shadow {
             let l = m.line(*line);
             let arch = match m.caches.line(l) {
@@ -160,5 +236,32 @@ proptest! {
             };
             prop_assert_eq!(arch, *want, "drained line {}", line);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Restore into a diverged destination: caches, memory system and
+    /// image restored with `clone_from` continue exactly like a fresh
+    /// clone of the source.
+    #[test]
+    fn clone_from_dirty_destination_matches_clone(
+        prefix in proptest::collection::vec(op_strategy(), 0..150),
+        diverge in proptest::collection::vec(op_strategy(), 0..150),
+        suffix in proptest::collection::vec(op_strategy(), 1..150),
+        residency in prop_oneof![Just(0u64), Just(120), Just(4_000)],
+    ) {
+        let mut src = Micro::new(residency);
+        src.run(&prefix);
+        let mut dst = src.clone();
+        dst.run(&diverge);
+        dst.clone_from(&src);
+        let mut fresh = src.clone();
+        prop_assert_eq!(dst.run(&suffix), fresh.run(&suffix));
+        prop_assert_eq!(dst.observe(), fresh.observe());
+        dst.drain();
+        fresh.drain();
+        prop_assert_eq!(dst.observe(), fresh.observe());
     }
 }

@@ -5,7 +5,6 @@
 //! so that a region's log entries and ownership tracking operate on whole
 //! lines, matching the hardware's line-granular LPOs/DPOs.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::addr::{PmAddr, LINE_BYTES};
@@ -61,14 +60,34 @@ impl std::error::Error for AllocError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone)]
 pub struct RangeAllocator {
     base: PmAddr,
     size: u64,
-    /// Free ranges: start -> length. Non-adjacent (always coalesced).
-    free: BTreeMap<u64, u64>,
-    /// Live allocations: start -> length.
-    live: BTreeMap<u64, u64>,
+    /// Free ranges as `(start, len)`, sorted by start. Non-adjacent
+    /// (always coalesced).
+    free: Vec<(u64, u64)>,
+    /// Live allocations as `(start, len)`, sorted by start.
+    live: Vec<(u64, u64)>,
+}
+
+/// Both range lists are flat vectors, so a restore-into-scratch
+/// `clone_from` is two `memcpy`s into buffers the destination already owns.
+impl Clone for RangeAllocator {
+    fn clone(&self) -> Self {
+        RangeAllocator {
+            base: self.base,
+            size: self.size,
+            free: self.free.clone(),
+            live: self.live.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.base = src.base;
+        self.size = src.size;
+        self.free.clone_from(&src.free);
+        self.live.clone_from(&src.live);
+    }
 }
 
 impl RangeAllocator {
@@ -83,13 +102,11 @@ impl RangeAllocator {
             "allocator base must be line-aligned"
         );
         assert!(size > 0, "allocator size must be nonzero");
-        let mut free = BTreeMap::new();
-        free.insert(base.0, size);
         RangeAllocator {
             base,
             size,
-            free,
-            live: BTreeMap::new(),
+            free: vec![(base.0, size)],
+            live: Vec::new(),
         }
     }
 
@@ -100,17 +117,19 @@ impl RangeAllocator {
     /// Returns [`AllocError::OutOfMemory`] if no free range fits.
     pub fn alloc(&mut self, len: u64) -> Result<PmAddr, AllocError> {
         let len = round_up_lines(len.max(1));
-        let found = self
+        let i = self
             .free
             .iter()
-            .find(|(_, &flen)| flen >= len)
-            .map(|(&start, &flen)| (start, flen));
-        let (start, flen) = found.ok_or(AllocError::OutOfMemory { requested: len })?;
-        self.free.remove(&start);
+            .position(|&(_, flen)| flen >= len)
+            .ok_or(AllocError::OutOfMemory { requested: len })?;
+        let (start, flen) = self.free[i];
         if flen > len {
-            self.free.insert(start + len, flen - len);
+            self.free[i] = (start + len, flen - len);
+        } else {
+            self.free.remove(i);
         }
-        self.live.insert(start, len);
+        let at = self.live.partition_point(|&(a, _)| a < start);
+        self.live.insert(at, (start, len));
         Ok(PmAddr(start))
     }
 
@@ -121,42 +140,47 @@ impl RangeAllocator {
     /// Returns [`AllocError::NotAllocated`] if `addr` was not returned by
     /// [`alloc`](Self::alloc) (or was already freed).
     pub fn free(&mut self, addr: PmAddr) -> Result<(), AllocError> {
-        let len = self
+        let li = self
             .live
-            .remove(&addr.0)
-            .ok_or(AllocError::NotAllocated { addr })?;
-        let mut start = addr.0;
-        let mut size = len;
-        // Coalesce with the predecessor if adjacent.
-        if let Some((&pstart, &plen)) = self.free.range(..start).next_back() {
-            if pstart + plen == start {
-                self.free.remove(&pstart);
-                start = pstart;
-                size += plen;
+            .binary_search_by_key(&addr.0, |&(a, _)| a)
+            .map_err(|_| AllocError::NotAllocated { addr })?;
+        let (start, len) = self.live.remove(li);
+        let end = start + len;
+        // `i` is the first free range above the freed one.
+        let i = self.free.partition_point(|&(s, _)| s < start);
+        let pred = i > 0 && {
+            let (ps, pl) = self.free[i - 1];
+            ps + pl == start
+        };
+        let succ = self.free.get(i).is_some_and(|&(s, _)| s == end);
+        match (pred, succ) {
+            (true, true) => {
+                self.free[i - 1].1 += len + self.free[i].1;
+                self.free.remove(i);
             }
+            (true, false) => self.free[i - 1].1 += len,
+            (false, true) => self.free[i] = (start, len + self.free[i].1),
+            (false, false) => self.free.insert(i, (start, len)),
         }
-        // Coalesce with the successor if adjacent.
-        if let Some(&slen) = self.free.get(&(addr.0 + len)) {
-            self.free.remove(&(addr.0 + len));
-            size += slen;
-        }
-        self.free.insert(start, size);
         Ok(())
     }
 
     /// The size in bytes of the live allocation starting at `addr`.
     pub fn allocation_len(&self, addr: PmAddr) -> Option<u64> {
-        self.live.get(&addr.0).copied()
+        self.live
+            .binary_search_by_key(&addr.0, |&(a, _)| a)
+            .ok()
+            .map(|i| self.live[i].1)
     }
 
     /// Total bytes currently allocated.
     pub fn live_bytes(&self) -> u64 {
-        self.live.values().sum()
+        self.live.iter().map(|&(_, l)| l).sum()
     }
 
     /// Total bytes currently free.
     pub fn free_bytes(&self) -> u64 {
-        self.free.values().sum()
+        self.free.iter().map(|&(_, l)| l).sum()
     }
 
     /// The managed range's base address.
@@ -171,7 +195,7 @@ impl RangeAllocator {
 
     /// Iterates over live allocations as `(start, len)` in address order.
     pub fn live_allocations(&self) -> impl Iterator<Item = (PmAddr, u64)> + '_ {
-        self.live.iter().map(|(&a, &l)| (PmAddr(a), l))
+        self.live.iter().map(|&(a, l)| (PmAddr(a), l))
     }
 }
 
@@ -281,6 +305,140 @@ mod tests {
         let mut h = heap();
         let a = h.alloc(0).unwrap();
         assert_eq!(h.allocation_len(a), Some(64));
+    }
+
+    /// The allocator as it was before its range lists became sorted
+    /// vectors: first fit and coalescing over `BTreeMap`s. The vector
+    /// implementation must match it operation for operation.
+    #[derive(Default)]
+    struct MapModel {
+        free: std::collections::BTreeMap<u64, u64>,
+        live: std::collections::BTreeMap<u64, u64>,
+    }
+
+    impl MapModel {
+        fn new(base: u64, size: u64) -> Self {
+            let mut m = MapModel::default();
+            m.free.insert(base, size);
+            m
+        }
+
+        fn alloc(&mut self, len: u64) -> Result<PmAddr, AllocError> {
+            let len = round_up_lines(len.max(1));
+            let (start, flen) = self
+                .free
+                .iter()
+                .find(|(_, &flen)| flen >= len)
+                .map(|(&s, &l)| (s, l))
+                .ok_or(AllocError::OutOfMemory { requested: len })?;
+            self.free.remove(&start);
+            if flen > len {
+                self.free.insert(start + len, flen - len);
+            }
+            self.live.insert(start, len);
+            Ok(PmAddr(start))
+        }
+
+        fn free(&mut self, addr: PmAddr) -> Result<(), AllocError> {
+            let len = self
+                .live
+                .remove(&addr.0)
+                .ok_or(AllocError::NotAllocated { addr })?;
+            let (mut start, mut size) = (addr.0, len);
+            if let Some((&ps, &pl)) = self.free.range(..start).next_back() {
+                if ps + pl == start {
+                    self.free.remove(&ps);
+                    start = ps;
+                    size += pl;
+                }
+            }
+            if let Some(sl) = self.free.remove(&(addr.0 + len)) {
+                size += sl;
+            }
+            self.free.insert(start, size);
+            Ok(())
+        }
+    }
+
+    /// One allocator operation: allocate `len`, or free the `pick`-th live
+    /// allocation (`bogus` frees an address that is not an allocation).
+    #[derive(Clone, Debug)]
+    enum HeapOp {
+        Alloc(u64),
+        Free { pick: usize, bogus: bool },
+    }
+
+    fn heap_op() -> impl Strategy<Value = HeapOp> {
+        prop_oneof![
+            3 => (1u64..2048).prop_map(HeapOp::Alloc),
+            2 => (any::<usize>(), proptest::bool::weighted(0.1))
+                .prop_map(|(pick, bogus)| HeapOp::Free { pick, bogus }),
+        ]
+    }
+
+    /// Applies `op` to both allocators and checks they agree.
+    fn step_both(
+        h: &mut RangeAllocator,
+        m: &mut MapModel,
+        op: &HeapOp,
+    ) -> Result<(), TestCaseError> {
+        match *op {
+            HeapOp::Alloc(len) => prop_assert_eq!(h.alloc(len), m.alloc(len)),
+            HeapOp::Free { pick, bogus } => {
+                let live: Vec<u64> = m.live.keys().copied().collect();
+                let addr = match (live.is_empty(), bogus) {
+                    (false, false) => PmAddr(live[pick % live.len()]),
+                    (false, true) => PmAddr(live[pick % live.len()] + LINE_BYTES / 2),
+                    (true, _) => PmAddr(pick as u64 % (1 << 16)),
+                };
+                prop_assert_eq!(h.free(addr), m.free(addr));
+            }
+        }
+        let got: Vec<(PmAddr, u64)> = h.live_allocations().collect();
+        let want: Vec<(PmAddr, u64)> = m.live.iter().map(|(&a, &l)| (PmAddr(a), l)).collect();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(
+            h.free.clone(),
+            m.free.iter().map(|(&s, &l)| (s, l)).collect::<Vec<_>>()
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn prop_matches_btreemap_model(ops in proptest::collection::vec(heap_op(), 1..120)) {
+            let mut h = RangeAllocator::new(PmAddr(0), 1 << 16);
+            let mut m = MapModel::new(0, 1 << 16);
+            for op in &ops {
+                step_both(&mut h, &mut m, op)?;
+            }
+        }
+
+        /// A restore into a destination that diverged, then continued
+        /// operation, behaves exactly like a fresh clone of the source.
+        #[test]
+        fn prop_clone_from_matches_clone(
+            prefix in proptest::collection::vec(heap_op(), 0..40),
+            diverge in proptest::collection::vec(heap_op(), 0..40),
+            suffix in proptest::collection::vec(heap_op(), 0..40),
+        ) {
+            let mut src = RangeAllocator::new(PmAddr(0), 1 << 16);
+            let mut model = MapModel::new(0, 1 << 16);
+            for op in &prefix {
+                step_both(&mut src, &mut model, op)?;
+            }
+            let mut dst = src.clone();
+            let mut scratch = MapModel::new(0, 1 << 16);
+            scratch.free = model.free.clone();
+            scratch.live = model.live.clone();
+            for op in &diverge {
+                step_both(&mut dst, &mut scratch, op)?;
+            }
+            dst.clone_from(&src);
+            for op in &suffix {
+                step_both(&mut dst, &mut model, op)?;
+            }
+        }
     }
 
     proptest! {

@@ -6,27 +6,14 @@ use std::sync::Arc;
 
 use crate::addr::{LineAddr, PmAddr, LINE_BYTES, PAGE_BYTES};
 
-/// One 4KB page of memory plus its page-table persistent bit.
+/// One 4KB page of memory.
 ///
 /// Pages are held behind [`Arc`] so a [`MemoryImage::snapshot`] is a
 /// pointer-table copy: both images share every page until one of them
 /// writes, and the write path deep-copies only the shared page it is
 /// about to mutate (copy-on-write). `Arc` rather than `Rc` keeps the
 /// image `Send`, which the parallel figure harness relies on.
-#[derive(Clone)]
-struct Page {
-    bytes: Box<[u8; PAGE_BYTES as usize]>,
-    persistent: bool,
-}
-
-impl Page {
-    fn zeroed() -> Self {
-        Page {
-            bytes: Box::new([0u8; PAGE_BYTES as usize]),
-            persistent: false,
-        }
-    }
-}
+type Page = [u8; PAGE_BYTES as usize];
 
 /// Sentinel key for an empty index slot. Page numbers are byte addresses
 /// divided by `PAGE_BYTES`, so `u64::MAX` can never be a real page number.
@@ -150,12 +137,15 @@ impl PageIndex {
 /// for PM pages, that is the durable state (plus whatever the WPQ flushes on
 /// a crash — see `asap-mem`); caches hold newer dirty copies on top.
 ///
-/// Unwritten memory reads as zero, like freshly mapped pages.
+/// Unwritten memory reads as zero, like freshly mapped pages, and owns no
+/// page: pages are created only by writes.
 ///
 /// Internally pages live in a flat `Vec` reached through an open-addressed
 /// page index plus a one-entry last-page cache — almost every access in a
 /// simulation run touches the same page as its predecessor, so the common
-/// case is one compare instead of a map walk.
+/// case is one compare instead of a map walk. Persistent bits are kept
+/// apart from the pages, as a short sorted list of page ranges: marking
+/// megabytes of log buffer persistent allocates nothing.
 ///
 /// # Example
 ///
@@ -172,12 +162,18 @@ impl PageIndex {
 pub struct MemoryImage {
     pages: Vec<Arc<Page>>,
     index: PageIndex,
+    /// Pages with the persistent bit set, as half-open page-number ranges
+    /// `[first, end)`: sorted, disjoint and never adjacent (always
+    /// coalesced).
+    persistent: Vec<(u64, u64)>,
     /// Last page looked up, as `(page_no, slot)` — hit on nearly every
     /// sequential access. Invalidated by [`reset`](Self::reset).
     last: Cell<(u64, u32)>,
     /// Hot-path access statistics (plain `Cell`s, not atomics — each
     /// image belongs to one simulation). Never printed by figures;
-    /// flushed to the host metrics registry after a run.
+    /// taken by the host metrics flush after a run. Observer state: a
+    /// clone starts at zero and `clone_from` leaves it alone, so the
+    /// counts always describe work this image did.
     stats: Cell<ImageStats>,
 }
 
@@ -199,8 +195,7 @@ const _: fn() = || {
 /// fall-through lookup when the table is collision-free).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ImageStats {
-    /// Page lookups (one per page touched by each read/write/persist-bit
-    /// query).
+    /// Page lookups (one per page touched by each read or write).
     pub lookups: u64,
     /// Lookups answered by the one-entry last-page cache.
     pub last_page_hits: u64,
@@ -218,6 +213,7 @@ impl MemoryImage {
         MemoryImage {
             pages: Vec::new(),
             index: PageIndex::new(),
+            persistent: Vec::new(),
             last: Cell::new((EMPTY, 0)),
             stats: Cell::new(ImageStats::default()),
         }
@@ -248,7 +244,7 @@ impl MemoryImage {
             Some(s) => s,
             None => {
                 let s = u32::try_from(self.pages.len()).expect("page count fits u32");
-                self.pages.push(Arc::new(Page::zeroed()));
+                self.pages.push(Arc::new([0u8; PAGE_BYTES as usize]));
                 self.index.insert(page_no, s);
                 self.last.set((page_no, s));
                 s
@@ -263,7 +259,7 @@ impl MemoryImage {
             let mut st = self.stats.get();
             st.cow_copies += 1;
             self.stats.set(st);
-            *arc = Arc::new(Page::clone(arc));
+            *arc = Arc::new(**arc);
         }
         Arc::get_mut(arc).expect("page unique after copy-on-write")
     }
@@ -279,7 +275,7 @@ impl MemoryImage {
             match self.lookup(page_no) {
                 Some(slot) => {
                     let p = &self.pages[slot as usize];
-                    buf[done..done + n].copy_from_slice(&p.bytes[off..off + n]);
+                    buf[done..done + n].copy_from_slice(&p[off..off + n]);
                 }
                 None => buf[done..done + n].fill(0),
             }
@@ -296,7 +292,7 @@ impl MemoryImage {
             let page_no = pos / PAGE_BYTES;
             let off = (pos % PAGE_BYTES) as usize;
             let n = (data.len() - done).min(PAGE_BYTES as usize - off);
-            self.page_mut(page_no).bytes[off..off + n].copy_from_slice(&data[done..done + n]);
+            self.page_mut(page_no)[off..off + n].copy_from_slice(&data[done..done + n]);
             done += n;
             pos += n as u64;
         }
@@ -327,22 +323,32 @@ impl MemoryImage {
     }
 
     /// Sets the page-table persistent bit for every page overlapping
-    /// `[addr, addr + len)` — what `asap_malloc` does (§4.6).
+    /// `[addr, addr + len)` — what `asap_malloc` does (§4.6). Touches no
+    /// page: the bit lives in the image's range list.
     pub fn mark_persistent(&mut self, addr: PmAddr, len: u64) {
         if len == 0 {
             return;
         }
         let first = addr.page();
-        let last = (addr.0 + len - 1) / PAGE_BYTES;
-        for p in first..=last {
-            self.page_mut(p).persistent = true;
+        let end = (addr.0 + len - 1) / PAGE_BYTES + 1;
+        // Ranges `i..j` overlap or abut `[first, end)`; they merge with it.
+        let i = self.persistent.partition_point(|&(_, e)| e < first);
+        let j = self.persistent.partition_point(|&(s, _)| s <= end);
+        let mut merged = (first, end);
+        if i < j {
+            merged = (
+                self.persistent[i].0.min(first),
+                self.persistent[j - 1].1.max(end),
+            );
         }
+        self.persistent.splice(i..j, std::iter::once(merged));
     }
 
     /// Whether the page containing `addr` has its persistent bit set.
     pub fn is_persistent(&self, addr: PmAddr) -> bool {
-        self.lookup(addr.page())
-            .is_some_and(|slot| self.pages[slot as usize].persistent)
+        let p = addr.page();
+        let i = self.persistent.partition_point(|&(s, _)| s <= p);
+        i > 0 && p < self.persistent[i - 1].1
     }
 
     /// Whether the page containing `line` has its persistent bit set.
@@ -350,15 +356,22 @@ impl MemoryImage {
         self.is_persistent(line.base())
     }
 
-    /// Number of pages that have ever been touched.
+    /// Number of pages that have ever been written.
     pub fn touched_pages(&self) -> usize {
         self.pages.len()
     }
 
-    /// Cumulative access statistics for this image (survive
+    /// Access statistics accumulated since this image was created or
+    /// last [taken](Self::take_access_stats) (they survive
     /// [`reset`](Self::reset), like the image's identity does).
     pub fn access_stats(&self) -> ImageStats {
         self.stats.get()
+    }
+
+    /// Returns the access statistics and zeroes them, so the next take
+    /// reports only work done after this one.
+    pub fn take_access_stats(&self) -> ImageStats {
+        self.stats.take()
     }
 
     /// Forgets every page — contents and persistent bits — returning the
@@ -366,6 +379,7 @@ impl MemoryImage {
     pub fn reset(&mut self) {
         self.pages.clear();
         self.index.clear();
+        self.persistent.clear();
         self.last.set((EMPTY, 0));
     }
 
@@ -390,22 +404,33 @@ impl MemoryImage {
 
 /// `clone` is the snapshot primitive (pointer-table copy, refcount bumps);
 /// `clone_from` additionally reuses the destination's page table and index
-/// buffers, which is what makes repeated restore-into-scratch forks cheap.
+/// buffers, and skips every page the destination already shares with the
+/// source — after a fork only the pages it wrote differ, so a restore
+/// touches only their refcounts. Access statistics are observer state:
+/// a clone starts at zero and `clone_from` keeps the destination's.
 impl Clone for MemoryImage {
     fn clone(&self) -> Self {
         MemoryImage {
             pages: self.pages.clone(),
             index: self.index.clone(),
+            persistent: self.persistent.clone(),
             last: self.last.clone(),
-            stats: self.stats.clone(),
+            stats: Cell::default(),
         }
     }
 
     fn clone_from(&mut self, src: &Self) {
-        self.pages.clone_from(&src.pages);
+        self.pages.truncate(src.pages.len());
+        for (d, s) in self.pages.iter_mut().zip(&src.pages) {
+            if !Arc::ptr_eq(d, s) {
+                d.clone_from(s);
+            }
+        }
+        let have = self.pages.len();
+        self.pages.extend_from_slice(&src.pages[have..]);
         self.index.clone_from(&src.index);
+        self.persistent.clone_from(&src.persistent);
         self.last.set(src.last.get());
-        self.stats.set(src.stats.get());
     }
 }
 
@@ -641,15 +666,66 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_preserves_persistent_bits_and_cow_covers_marking() {
+    fn snapshot_preserves_persistent_bits_and_marking_copies_no_page() {
         let mut m = MemoryImage::new();
         m.write_u64(PmAddr(0), 1);
         let snap = m.snapshot();
-        // mark_persistent goes through the same CoW write path.
+        // The persistent bit lives in the image's range list, not in the
+        // page: marking isolates the images without a CoW copy.
         m.mark_persistent(PmAddr(0), 8);
         assert!(m.is_persistent(PmAddr(0)));
         assert!(!snap.is_persistent(PmAddr(0)));
-        assert_eq!(m.access_stats().cow_copies, 1);
+        assert_eq!(m.access_stats().cow_copies, 0);
+    }
+
+    #[test]
+    fn marking_persistent_allocates_no_page() {
+        let mut m = MemoryImage::new();
+        m.mark_persistent(PmAddr(0), 4 << 20);
+        m.mark_persistent(PmAddr(8 << 20), 64);
+        assert_eq!(m.touched_pages(), 0);
+        assert!(m.is_persistent(PmAddr((4 << 20) - 1)));
+        assert!(!m.is_persistent(PmAddr(4 << 20)));
+        assert!(m.is_persistent(PmAddr(8 << 20)));
+        m.write_u64(PmAddr(PAGE_BYTES), 5);
+        assert_eq!(m.touched_pages(), 1);
+    }
+
+    #[test]
+    fn persistent_ranges_coalesce() {
+        let mut m = MemoryImage::new();
+        m.mark_persistent(PmAddr(4 * PAGE_BYTES), PAGE_BYTES); // [4, 5)
+        m.mark_persistent(PmAddr(0), PAGE_BYTES); // [0, 1)
+        m.mark_persistent(PmAddr(8 * PAGE_BYTES), 2 * PAGE_BYTES); // [8, 10)
+        assert_eq!(m.persistent, vec![(0, 1), (4, 5), (8, 10)]);
+        m.mark_persistent(PmAddr(5 * PAGE_BYTES), 1); // abuts [4, 5)
+        assert_eq!(m.persistent, vec![(0, 1), (4, 6), (8, 10)]);
+        m.mark_persistent(PmAddr(PAGE_BYTES + 7), 3 * PAGE_BYTES); // [1, 5)
+        assert_eq!(m.persistent, vec![(0, 6), (8, 10)]);
+        m.mark_persistent(PmAddr(9 * PAGE_BYTES), 8); // already covered
+        assert_eq!(m.persistent, vec![(0, 6), (8, 10)]);
+        m.mark_persistent(PmAddr(6 * PAGE_BYTES), 2 * PAGE_BYTES); // fills the gap
+        assert_eq!(m.persistent, vec![(0, 10)]);
+    }
+
+    #[test]
+    fn access_stats_are_observer_state() {
+        let mut m = MemoryImage::new();
+        m.write_u64(PmAddr(0), 1);
+        let snap = m.snapshot();
+        assert_eq!(snap.access_stats(), ImageStats::default());
+        let before = m.access_stats();
+        assert!(before.lookups > 0);
+        // A restore rewinds contents, not the counters of work done.
+        m.write_u64(PmAddr(PAGE_BYTES), 2);
+        m.clone_from(&snap);
+        assert!(m.access_stats().lookups > before.lookups);
+        assert_eq!(m.touched_pages(), 1);
+        // Taking zeroes, so the next take reports only later work.
+        assert!(m.take_access_stats().lookups > 0);
+        assert_eq!(m.access_stats(), ImageStats::default());
+        m.write_u64(PmAddr(0), 3);
+        assert_eq!(m.take_access_stats().cow_copies, 1);
     }
 
     #[test]
@@ -727,10 +803,28 @@ mod tests {
     /// live image (base or one of the forks) the operation applies to.
     #[derive(Clone, Debug)]
     enum CowOp {
-        Write { target: u8, addr: u64, v: u64 },
-        Mark { target: u8, addr: u64, len: u64 },
-        Snapshot { target: u8 },
-        DropFork { which: u8 },
+        Write {
+            target: u8,
+            addr: u64,
+            v: u64,
+        },
+        Mark {
+            target: u8,
+            addr: u64,
+            len: u64,
+        },
+        Snapshot {
+            target: u8,
+        },
+        DropFork {
+            which: u8,
+        },
+        /// `cows[target].clone_from(&cows[from])`: a restore into a
+        /// destination that ran its own suffix.
+        Restore {
+            target: u8,
+            from: u8,
+        },
     }
 
     fn cow_op() -> impl Strategy<Value = CowOp> {
@@ -742,13 +836,16 @@ mod tests {
                 .prop_map(|(target, addr, len)| CowOp::Mark { target, addr, len }),
             2 => any::<u8>().prop_map(|target| CowOp::Snapshot { target }),
             2 => any::<u8>().prop_map(|which| CowOp::DropFork { which }),
+            2 => (any::<u8>(), any::<u8>())
+                .prop_map(|(target, from)| CowOp::Restore { target, from }),
         ]
     }
 
     proptest! {
         /// CoW image vs eager-deep-copy oracle through arbitrary
-        /// interleavings of writes, snapshots, forks-of-forks, and fork
-        /// drops: byte contents and persistent bits must stay identical on
+        /// interleavings of writes, snapshots, forks-of-forks, restores
+        /// into diverged images, and fork drops: byte contents and
+        /// persistent bits must stay identical on
         /// every live image, and once every fork is gone the base image
         /// must own all its pages exclusively again (no leaked sharing).
         #[test]
@@ -775,6 +872,14 @@ mod tests {
                         let (c, o) = (cows[t].snapshot(), oracles[t].clone());
                         cows.push(c);
                         oracles.push(o);
+                    }
+                    CowOp::Restore { target, from } => {
+                        let (t, f) = (target as usize % cows.len(), from as usize % cows.len());
+                        if t != f {
+                            let src = cows[f].snapshot();
+                            cows[t].clone_from(&src);
+                            oracles[t] = oracles[f].clone();
+                        }
                     }
                     CowOp::DropFork { which } => {
                         // Never drop the base image (index 0).

@@ -49,7 +49,6 @@ struct Entry<E> {
 /// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
 /// assert_eq!(order, ['z', 'x', 'y']);
 /// ```
-#[derive(Clone)]
 pub struct EventQueue<E> {
     /// Wheel slots; an event at `at` lives in slot
     /// `(at >> BUCKET_SHIFT) & SLOT_MASK`. Entries from different wheel
@@ -76,9 +75,46 @@ pub struct EventQueue<E> {
     occ: [u64; SLOTS / 64],
     /// How many times [`Self::find_min`] fell back to the sparse-tail
     /// full scan (every pending event more than one wheel revolution
-    /// away). A plain `Cell` — never on stdout, flushed to the host
-    /// metrics registry (`sim.calendar.full_scans`) after a run.
+    /// away). A plain `Cell` — never on stdout, taken by the host
+    /// metrics flush (`sim.calendar.full_scans`) after a run. Observer
+    /// state: a clone starts at zero and `clone_from` leaves it alone.
     full_scans: Cell<u64>,
+}
+
+/// `clone_from` is the restore path of machine snapshots: the wheel's
+/// 256 bucket vectors are overwritten in place, keeping their buffers.
+/// Entries keep their in-bucket order, so pops after a restore match a
+/// fresh clone exactly.
+impl<E: Clone> Clone for EventQueue<E> {
+    fn clone(&self) -> Self {
+        EventQueue {
+            buckets: self.buckets.clone(),
+            len: self.len,
+            next_seq: self.next_seq,
+            cursor: self.cursor.clone(),
+            cached_min: self.cached_min.clone(),
+            occ: self.occ,
+            full_scans: Cell::new(0),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let EventQueue {
+            buckets,
+            len,
+            next_seq,
+            cursor,
+            cached_min,
+            occ,
+            full_scans: _,
+        } = src;
+        self.buckets.clone_from(buckets);
+        self.len = *len;
+        self.next_seq = *next_seq;
+        self.cursor.set(cursor.get());
+        self.cached_min.set(cached_min.get());
+        self.occ = *occ;
+    }
 }
 
 impl<E> EventQueue<E> {
@@ -269,6 +305,12 @@ impl<E> EventQueue<E> {
     pub fn full_scans(&self) -> u64 {
         self.full_scans.get()
     }
+
+    /// Returns [`full_scans`](Self::full_scans) and zeroes it, so the next
+    /// take reports only scans made after this one.
+    pub fn take_full_scans(&self) -> u64 {
+        self.full_scans.take()
+    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -384,6 +426,27 @@ mod tests {
         // event must coexist with the near one): one full scan finds it.
         assert_eq!(q.pop(), Some((Cycle(9 * span), 'b')));
         assert!(q.full_scans() >= 1);
+    }
+
+    /// Full-scan counts describe work a queue did: clones start at zero,
+    /// a restore keeps the destination's count, and a take zeroes it.
+    #[test]
+    fn full_scans_are_observer_state() {
+        let span = (SLOTS as u64) << BUCKET_SHIFT;
+        let mut q = EventQueue::new();
+        q.push(Cycle(1), 'a');
+        q.push(Cycle(9 * span), 'b');
+        let snap = q.clone();
+        q.pop();
+        q.pop();
+        let scans = q.full_scans();
+        assert!(scans >= 1);
+        assert_eq!(snap.full_scans(), 0);
+        q.clone_from(&snap);
+        assert_eq!(q.full_scans(), scans);
+        assert_eq!(q.take_full_scans(), scans);
+        assert_eq!(q.full_scans(), 0);
+        assert_eq!(q.pop(), Some((Cycle(1), 'a')));
     }
 
     /// Pushing an earlier event after the cursor has advanced past its
@@ -552,6 +615,53 @@ mod tests {
                 prop_assert_eq!(heap.pop(), None);
                 prop_assert!(cal.is_empty());
             }
+
+            /// A restore into a queue that ran a different suffix pops
+            /// exactly like a fresh clone of the source under any
+            /// continued traffic.
+            #[test]
+            fn clone_from_dirty_destination_matches_clone(
+                prefix in proptest::collection::vec(op_strategy(), 0..80),
+                diverge in proptest::collection::vec(op_strategy(), 0..80),
+                suffix in proptest::collection::vec(op_strategy(), 0..80),
+            ) {
+                let mut src = EventQueue::new();
+                apply(&mut src, &prefix, 0);
+                let mut dst = src.clone();
+                apply(&mut dst, &diverge, 1 << 20);
+                dst.clone_from(&src);
+                let mut fresh = src.clone();
+                let a = apply(&mut dst, &suffix, 1 << 21);
+                let b = apply(&mut fresh, &suffix, 1 << 21);
+                prop_assert_eq!(a, b);
+                let rest = |q: &mut EventQueue<u32>| std::iter::from_fn(|| q.pop()).collect::<Vec<_>>();
+                prop_assert_eq!(rest(&mut dst), rest(&mut fresh));
+            }
+        }
+
+        /// Runs `ops` on `q` with payloads counting up from `first`,
+        /// returning everything popped and every `peek_time` seen.
+        fn apply(q: &mut EventQueue<u32>, ops: &[Op], first: u32) -> Vec<Option<(Cycle, u32)>> {
+            let mut payload = first;
+            let mut seen = Vec::new();
+            for op in ops {
+                match *op {
+                    Op::Push(at) => {
+                        q.push(Cycle(at), payload);
+                        payload += 1;
+                    }
+                    Op::Burst(at, n) => {
+                        for _ in 0..n {
+                            q.push(Cycle(at), payload);
+                            payload += 1;
+                        }
+                    }
+                    Op::Pop => seen.push(q.pop()),
+                    Op::PopUntil(deadline) => seen.push(q.pop_until(Cycle(deadline))),
+                }
+                seen.push(q.peek_time().map(|t| (t, u32::MAX)));
+            }
+            seen
         }
     }
 }

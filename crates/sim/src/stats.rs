@@ -94,11 +94,26 @@ impl Summary {
 
 /// A log-bucketed histogram: an exact [`Summary`] plus per-bucket counts
 /// supporting quantile queries and exact merges.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct Histogram {
     summary: Summary,
     /// Bucket counts, indexed by [`bucket_index`]; grown on demand.
     counts: Vec<u64>,
+}
+
+impl Clone for Histogram {
+    fn clone(&self) -> Self {
+        Histogram {
+            summary: self.summary,
+            counts: self.counts.clone(),
+        }
+    }
+
+    /// Reuses the bucket vector's buffer.
+    fn clone_from(&mut self, src: &Self) {
+        self.summary = src.summary;
+        self.counts.clone_from(&src.counts);
+    }
 }
 
 /// Maps a sample to its bucket index. Values below `SUB` map exactly;
@@ -310,10 +325,39 @@ impl Histogram {
 /// assert_eq!(s.summary("region.cycles").unwrap().mean(), 120.0);
 /// assert_eq!(s.histogram("region.cycles").unwrap().p50(), 120);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct Stats {
     counters: BTreeMap<String, u64>,
     summaries: BTreeMap<String, Histogram>,
+}
+
+/// `clone_from` is the restore path of machine snapshots, where the
+/// destination almost always holds the same names as the source: values
+/// are then overwritten in place, allocating nothing.
+impl Clone for Stats {
+    fn clone(&self) -> Self {
+        Stats {
+            counters: self.counters.clone(),
+            summaries: self.summaries.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        clone_map_from(&mut self.counters, &src.counters);
+        clone_map_from(&mut self.summaries, &src.summaries);
+    }
+}
+
+/// Copies `src` into `dst` value by value when both hold the same keys,
+/// else falls back to a full clone.
+fn clone_map_from<V: Clone>(dst: &mut BTreeMap<String, V>, src: &BTreeMap<String, V>) {
+    if dst.len() == src.len() && dst.keys().eq(src.keys()) {
+        for (d, s) in dst.values_mut().zip(src.values()) {
+            d.clone_from(s);
+        }
+    } else {
+        *dst = src.clone();
+    }
 }
 
 impl Stats {
@@ -507,6 +551,37 @@ impl fmt::Display for Stats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clone_from_matches_clone_with_same_and_different_keys() {
+        let mut src = Stats::new();
+        src.add("a", 2);
+        src.add("b", 5);
+        src.sample("lat", 40);
+        src.sample("lat", 9000);
+        // Same keys, other values: the in-place path.
+        let mut same = src.clone();
+        same.add("a", 7);
+        same.sample("lat", 1 << 40);
+        // Extra and missing keys: the fallback path.
+        let mut other = Stats::new();
+        other.add("a", 1);
+        other.add("zz", 3);
+        other.sample("other", 1);
+        for mut dst in [same, other] {
+            dst.clone_from(&src);
+            assert_eq!(dst, src);
+            let mut fresh = src.clone();
+            for s in [&mut dst, &mut fresh] {
+                s.add("a", 1);
+                s.add("c", 4);
+                s.sample("lat", 77);
+                s.sample("new", 3);
+            }
+            assert_eq!(dst, fresh);
+            assert_eq!(dst.to_exact_json(), fresh.to_exact_json());
+        }
+    }
 
     #[test]
     fn counters_accumulate() {

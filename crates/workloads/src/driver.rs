@@ -577,7 +577,7 @@ fn sweep_chunk(
             metrics::counter("snapshot.tree.leaves").inc();
             match &mut cur {
                 Some((s, st)) => {
-                    *s = m.snapshot();
+                    m.snapshot_into(s);
                     st.clone_from(&state.borrow());
                 }
                 None => cur = Some((m.snapshot(), state.borrow().clone())),
@@ -826,19 +826,21 @@ pub fn enumerate_crash_points(spec: &WorkloadSpec, budget: usize) -> CrashPlan {
 /// cached results don't depend on them, which is why a cache-served cell
 /// legitimately contributes nothing here. The counters are plain `Cell`
 /// reads flushed once per run, so the simulated hot path pays nothing
-/// atomic.
-fn flush_host_metrics(m: &Machine) {
+/// atomic. Each flush takes and zeroes them: restoring a snapshot leaves
+/// these observer counters alone, so a sweep fork's flush reports only
+/// the work done since its restore.
+fn flush_host_metrics(m: &mut Machine) {
     use asap_sim::obs::metrics;
-    let img = m.hw().image.access_stats();
+    let img = m.hw().image.take_access_stats();
     metrics::counter("pmem.image.lookups").add(img.lookups);
     metrics::counter("pmem.image.last_page_hits").add(img.last_page_hits);
     metrics::counter("pmem.image.index_probes").add(img.index_probes);
     metrics::counter("pmem.image.cow_copies").add(img.cow_copies);
-    metrics::counter("sim.calendar.full_scans").add(m.hw().mem.calendar_full_scans());
+    metrics::counter("sim.calendar.full_scans").add(m.hw().mem.take_calendar_full_scans());
     metrics::gauge("mem.fwd_slab.hwm").set_max(m.hw().mem.fwd_slab_hwm());
     // Per-channel event volume: which channels carry the memory traffic.
-    for (ch, n) in m.hw().mem.channel_events().iter().enumerate() {
-        metrics::counter(&format!("sim.domain.ch{ch}.events")).add(*n);
+    for (ch, n) in m.hw_mut().mem.take_channel_events().into_iter().enumerate() {
+        metrics::counter(&format!("sim.domain.ch{ch}.events")).add(n);
     }
     // Telemetry sampler health: whether long runs are still sampling at
     // useful resolution. The period doubles on every decimation, so

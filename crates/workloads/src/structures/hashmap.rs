@@ -126,26 +126,33 @@ impl Benchmark for HashTable {
         });
     }
 
+    /// One walk of every chain checks both invariants: no key appears
+    /// twice, and every key lives in its home bucket. A duplicate is
+    /// reported ahead of a misplaced key, wherever each was found.
     fn verify(&self, m: &mut Machine) -> Result<(), String> {
-        let mut keys = self.debug_keys(m);
+        let mut keys = Vec::new();
+        let mut misplaced = None;
+        for b in 0..BUCKETS {
+            let mut cur = m.debug_read_u64(self.buckets.offset(b * 8));
+            while let Some(e) = as_ptr(cur) {
+                let k = debug_field(m, e, KEY);
+                if misplaced.is_none() && self.bucket(k) != b {
+                    misplaced = Some((k, b));
+                }
+                keys.push(k);
+                cur = debug_field(m, e, NEXT);
+            }
+        }
         let n = keys.len();
         keys.sort_unstable();
         keys.dedup();
         if keys.len() != n {
             return Err("hash table contains duplicate keys".into());
         }
-        // Every key must live in its home bucket.
-        for b in 0..BUCKETS {
-            let mut cur = m.debug_read_u64(self.buckets.offset(b * 8));
-            while let Some(e) = as_ptr(cur) {
-                let k = debug_field(m, e, KEY);
-                if self.bucket(k) != b {
-                    return Err(format!("key {k} found in wrong bucket {b}"));
-                }
-                cur = debug_field(m, e, NEXT);
-            }
+        match misplaced {
+            Some((k, b)) => Err(format!("key {k} found in wrong bucket {b}")),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -213,6 +220,50 @@ mod tests {
         m.drain();
         t.verify(&mut m).unwrap();
         assert!(t.debug_keys(&mut m).len() >= spec.setup_keys as usize);
+    }
+
+    /// Links a raw entry for `key` at the head of bucket `b`, bypassing
+    /// `put`'s placement — how a corrupt table is built.
+    fn link_raw(m: &mut Machine, t: &HashTable, b: u64, key: u64) {
+        m.run_thread(0, |ctx| {
+            ctx.begin_region();
+            let head_cell = t.buckets.offset(b * 8);
+            let entry = ctx.pm_alloc(ENTRY_BYTES).expect("heap");
+            write_field(ctx, entry, KEY, key);
+            write_field(ctx, entry, VAL, 0);
+            let head = ctx.read_u64(head_cell);
+            write_field(ctx, entry, NEXT, head);
+            ctx.write_u64(head_cell, entry.0);
+            ctx.end_region();
+        });
+    }
+
+    #[test]
+    fn verify_reports_a_misplaced_key() {
+        let (mut m, t, _s) = harness();
+        m.run_thread(0, |ctx| {
+            ctx.begin_region();
+            t.put(ctx, 7, 1, 64);
+            ctx.end_region();
+        });
+        let wrong = (t.bucket(9) + 1) % BUCKETS;
+        link_raw(&mut m, &t, wrong, 9);
+        let err = t.verify(&mut m).unwrap_err();
+        assert_eq!(err, format!("key 9 found in wrong bucket {wrong}"));
+    }
+
+    #[test]
+    fn verify_reports_duplicates_before_misplaced_keys() {
+        let (mut m, t, _s) = harness();
+        // Bucket 0 gets a misplaced key; a later bucket holds a duplicate.
+        let key = (0..).find(|&k| t.bucket(k) > 1).unwrap();
+        let misplaced = (0..).find(|&k| t.bucket(k) != 0 && k != key).unwrap();
+        link_raw(&mut m, &t, 0, misplaced);
+        let home = t.bucket(key);
+        link_raw(&mut m, &t, home, key);
+        link_raw(&mut m, &t, home, key);
+        let err = t.verify(&mut m).unwrap_err();
+        assert_eq!(err, "hash table contains duplicate keys");
     }
 
     #[test]
