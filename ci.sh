@@ -20,6 +20,10 @@ echo "==> telemetry run report (exporter round-trip validation)"
 ASAP_TELEMETRY=1 ASAP_OPS=30 ASAP_THREADS=2 ASAP_REPORT_OUT=target/run_report.html \
   cargo run --release --example run_report
 test -s target/run_report.html
+grep -q '<svg' target/run_report.html \
+  || { echo "REPORT FAILURE: no occupancy sparkline in run_report.html" >&2; exit 1; }
+grep -q 'Region commit timeline' target/run_report.html \
+  || { echo "REPORT FAILURE: commit timeline missing from run_report.html" >&2; exit 1; }
 
 echo "==> microbenchmarks build (run manually: cargo bench --bench micro)"
 cargo bench -p asap-bench --bench micro --no-run

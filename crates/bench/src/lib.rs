@@ -14,20 +14,21 @@
 //! - `ASAP_BENCHES` — comma-separated benchmark labels to restrict to;
 //! - `ASAP_WALLCLOCK` — path of the host wall-clock report
 //!   (default `BENCH_WALLCLOCK.json` in the repo root; empty disables);
-//! - `ASAP_TRACE` / `ASAP_TRACE_CAP` — capture an event trace per run
-//!   (see the `trace_report` example and DESIGN.md's Observability
-//!   section);
-//! - `ASAP_TELEMETRY` / `ASAP_TELEMETRY_PERIOD` — sample occupancy
-//!   time series and the region-lifecycle log in virtual time (see
-//!   EXPERIMENTS.md §Telemetry);
+//! - `ASAP_TRACE` — capture an event trace per run, the newest 2^20
+//!   records (see the `trace_report` example and DESIGN.md's
+//!   Observability section);
+//! - `ASAP_TELEMETRY` — sample occupancy time series (every 1024 cycles
+//!   at first; the period doubles as the buffer decimates) and the
+//!   region-lifecycle log in virtual time (see EXPERIMENTS.md
+//!   §Telemetry);
 //! - `ASAP_TELEMETRY_OUT` — directory for the per-figure merged
 //!   telemetry JSON (default `target/telemetry/`; empty disables);
-//! - `ASAP_RUNCACHE` / `ASAP_RUNCACHE_DIR` / `ASAP_RUNCACHE_CAP` —
-//!   content-addressed result memoization (`off`/`mem`/`disk`, default
-//!   `mem`; see [`runcache`]);
+//! - `ASAP_RUNCACHE` / `ASAP_RUNCACHE_DIR` — content-addressed result
+//!   memoization (`off`/`mem`/`disk`, default `mem`; a disk store keeps
+//!   at most 512 files; see [`runcache`]);
 //! - `ASAP_PROGRESS` — live status line on stderr (`1`/`on` enable);
 //! - `ASAP_CRASH_SWEEP` — crash-point count for the `crash_sweep`
-//!   example, which drives [`run_crash_sweep`] (shared-prefix
+//!   example, which drives [`run_crash_sweep_with`] (shared-prefix
 //!   copy-on-write forks, bit-identical to legacy `crash_after` cells);
 //! - `ASAP_SWEEP_JOBS` — fork-dispatch worker threads for crash sweeps
 //!   (default 1; snapshots are `Send`, so forks run on the same host
@@ -54,7 +55,7 @@
 #![warn(missing_docs)]
 
 mod progress;
-mod report;
+pub mod report;
 pub mod runcache;
 
 use std::collections::HashMap;
@@ -103,12 +104,10 @@ pub fn benches(all: &[BenchId]) -> Vec<BenchId> {
 }
 
 /// Host worker threads for [`run_grid`], from `ASAP_JOBS` (default: the
-/// machine's available parallelism; minimum 1).
+/// machine's available parallelism; minimum 1; see
+/// [`asap_sim::pool::jobs`]).
 pub fn jobs() -> usize {
-    match std::env::var("ASAP_JOBS") {
-        Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
+    asap_sim::pool::jobs()
 }
 
 /// Fork-dispatch worker threads for crash sweeps, from `ASAP_SWEEP_JOBS`
@@ -402,8 +401,9 @@ impl Probe {
     }
 }
 
-/// Runs a copy-on-write crash-point sweep for `spec` under the
-/// environment-configured result cache ([`RunCacheConfig::from_env`]).
+/// Runs a copy-on-write crash-point sweep for `spec` under the result
+/// cache `cache` (pass [`RunCacheConfig::from_env`] for the
+/// environment-configured one).
 ///
 /// The sweep itself ([`asap_workloads::run_sweep_with`]) executes the
 /// shared prefix once and forks each crash point from a machine
@@ -416,16 +416,12 @@ impl Probe {
 /// cached under the unarmed spec's fingerprint in its plain-run form
 /// (crash-point summaries stripped), interchangeable with any non-sweep
 /// cell of the same spec.
-pub fn run_crash_sweep(spec: &WorkloadSpec, points: &[u64], snap_every: u64) -> SweepResult {
-    run_crash_sweep_with(spec, points, snap_every, &RunCacheConfig::from_env())
-}
-
-/// [`run_crash_sweep`] with an explicit cache configuration. The baseline
-/// and the forks are one cell list — `[spec] ++ fork specs` — run through
-/// the same bracket, tier probe and dedup fan-out as [`run_grid_with`],
-/// so a sweep emits the same observability records as a grid (one
-/// `cell_start`/`cell_end` pair per crash point plus one for the
-/// baseline, progress ticks) and feeds the live report's crash-sweep
+///
+/// The baseline and the forks are one cell list — `[spec] ++ fork
+/// specs` — run through the same bracket, tier probe and dedup fan-out
+/// as [`run_grid_with`], so a sweep emits the same observability
+/// records as a grid (one `cell_start`/`cell_end` pair per crash point
+/// plus one for the baseline, progress ticks) and feeds the live report's crash-sweep
 /// table when the `ASAP_HTTP` server is up. Only the missed forks are
 /// swept. Stdout is untouched; results come back in point order whatever
 /// hits.
@@ -671,20 +667,12 @@ fn emit_wallclock_env(
     emit_telemetry(figure, grids);
 }
 
-/// The write behind [`emit_wallclock`], with an explicit path so tests
-/// can aim it at a temp (or unwritable) location. The stderr note and
-/// the `wallclock_written` event fire only after the atomic rename has
-/// returned `Ok` — a failed write must never claim the record landed.
-pub fn emit_wallclock_to(
-    path: &std::path::Path,
-    figure: &str,
-    elapsed: Duration,
-    grids: &[&[RunResult]],
-) -> std::io::Result<()> {
-    emit_wallclock_record(path, figure, elapsed, grids, None)
-}
-
-/// [`emit_wallclock_to`] with the optional sweep-throughput fields.
+/// The write behind [`emit_wallclock`] and [`emit_wallclock_sweep`], with
+/// an explicit path so tests can aim it at a temp (or unwritable)
+/// location; `crash_points` adds the sweep-throughput fields. The stderr
+/// note and the `wallclock_written` event fire only after the atomic
+/// rename has returned `Ok` — a failed write must never claim the record
+/// landed.
 pub fn emit_wallclock_record(
     path: &std::path::Path,
     figure: &str,

@@ -23,10 +23,11 @@
 //! Configuration (see [`RunCacheConfig::from_env`]):
 //!
 //! - `ASAP_RUNCACHE` — `off`, `mem` (default), or `disk` (both tiers);
-//! - `ASAP_RUNCACHE_DIR` — disk-store root (default `target/runcache`);
-//! - `ASAP_RUNCACHE_CAP` — max files per build store (default 512);
-//!   the oldest-by-mtime beyond the cap are evicted after each insert,
-//!   and hits re-touch their file so hot cells survive.
+//! - `ASAP_RUNCACHE_DIR` — disk-store root (default `target/runcache`).
+//!
+//! A build store holds at most [`DEFAULT_CAP`] (512) files: the
+//! oldest-by-mtime beyond the cap are evicted after each insert, and hits
+//! re-touch their file so hot cells survive.
 //!
 //! Correctness posture: a disk file that fails to parse is deleted and
 //! treated as a miss; writes are temp-file-then-rename so a crashed or
@@ -58,13 +59,14 @@ pub struct RunCacheConfig {
     pub cap: usize,
 }
 
-/// Default `ASAP_RUNCACHE_CAP`: at ~2–40 KiB per cell JSON this bounds a
+/// File cap of every environment-configured store: at ~2–40 KiB per cell JSON this bounds a
 /// build store to a few MiB while covering every cell the figure suite
 /// produces (well under 200 distinct cells per configuration).
 pub const DEFAULT_CAP: usize = 512;
 
 impl RunCacheConfig {
-    /// Reads `ASAP_RUNCACHE` / `ASAP_RUNCACHE_DIR` / `ASAP_RUNCACHE_CAP`.
+    /// Reads `ASAP_RUNCACHE` / `ASAP_RUNCACHE_DIR`; the cap is
+    /// [`DEFAULT_CAP`].
     /// Unknown `ASAP_RUNCACHE` values fall back to the `mem` default —
     /// consistent with the other harness knobs, a typo must not silently
     /// disable memoization *or* unexpectedly write to disk.
@@ -75,12 +77,12 @@ impl RunCacheConfig {
             "disk" => RunCacheConfig {
                 mem: true,
                 disk: Some(disk_dir_from_env()),
-                cap: cap_from_env(),
+                cap: DEFAULT_CAP,
             },
             _ => RunCacheConfig {
                 mem: true,
                 disk: None,
-                cap: cap_from_env(),
+                cap: DEFAULT_CAP,
             },
         }
     }
@@ -117,14 +119,6 @@ fn disk_dir_from_env() -> PathBuf {
         // CARGO_MANIFEST_DIR of this crate is crates/bench.
         _ => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/runcache"),
     }
-}
-
-fn cap_from_env() -> usize {
-    std::env::var("ASAP_RUNCACHE_CAP")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&c| c > 0)
-        .unwrap_or(DEFAULT_CAP)
 }
 
 /// Process-cumulative cache traffic, printed by the grid runner and used

@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use asap_bench::{emit_wallclock_to, run_grid_jobs};
+use asap_bench::{emit_wallclock_record, run_grid_jobs};
 use asap_core::scheme::SchemeKind;
 use asap_sim::json::{self, Value};
 use asap_sim::obs::events;
@@ -29,12 +29,12 @@ fn wallclock_written_only_after_successful_rename() {
     // temp-file write fails before any rename. (chmod tricks don't work
     // here — CI may run as root, which ignores permission bits.)
     let bad = tmp.join("no-such-dir").join("wallclock.json");
-    let err = emit_wallclock_to(&bad, "figtest", Duration::from_millis(5), &[&grid]);
+    let err = emit_wallclock_record(&bad, "figtest", Duration::from_millis(5), &[&grid], None);
     assert!(err.is_err(), "missing parent dir must fail the write");
 
     // Success path: same grid, writable location.
     let good = tmp.join("wallclock.json");
-    emit_wallclock_to(&good, "figtest", Duration::from_millis(5), &[&grid])
+    emit_wallclock_record(&good, "figtest", Duration::from_millis(5), &[&grid], None)
         .expect("writable path succeeds");
     events::set_sink(None);
 

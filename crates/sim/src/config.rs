@@ -285,7 +285,6 @@ impl Default for SystemConfig {
 pub const KNOWN_ASAP_ENV: &[&str] = &[
     "ASAP_BENCHES",
     "ASAP_CRASH_SWEEP",
-    "ASAP_DEBUG_RECOVERY",
     "ASAP_EVENTS",
     "ASAP_HTTP",
     "ASAP_JOBS",
@@ -296,16 +295,13 @@ pub const KNOWN_ASAP_ENV: &[&str] = &[
     "ASAP_PROGRESS",
     "ASAP_REPORT_OUT",
     "ASAP_RUNCACHE",
-    "ASAP_RUNCACHE_CAP",
     "ASAP_RUNCACHE_DIR",
     "ASAP_SNAP_BUDGET",
     "ASAP_SWEEP_JOBS",
     "ASAP_TELEMETRY",
     "ASAP_TELEMETRY_OUT",
-    "ASAP_TELEMETRY_PERIOD",
     "ASAP_THREADS",
     "ASAP_TRACE",
-    "ASAP_TRACE_CAP",
     "ASAP_WALLCLOCK",
 ];
 
@@ -430,13 +426,21 @@ mod tests {
             "ASAP_TRACE",      // known
             "ASAP_TRACE_CAPP", // typo
             "ASAP_TELEMETRY",  // known
+            // A deleted knob is warned about like a typo.
             "ASAP_TELEMETRY_PERIOD",
             "PATH",      // non-ASAP: ignored
             "ASAPX_FOO", // no underscore prefix match: ignored
             "ASAP_FRobnicate",
         ];
         let unknown = unknown_asap_vars(names);
-        assert_eq!(unknown, vec!["ASAP_FRobnicate", "ASAP_TRACE_CAPP"]);
+        assert_eq!(
+            unknown,
+            vec![
+                "ASAP_FRobnicate",
+                "ASAP_TELEMETRY_PERIOD",
+                "ASAP_TRACE_CAPP"
+            ]
+        );
     }
 
     #[test]

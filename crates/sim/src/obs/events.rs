@@ -156,16 +156,12 @@ pub fn enabled() -> bool {
 }
 
 /// The `run_meta` header line: schema version, build fingerprint,
-/// host worker count, and every `ASAP_*` knob present in the
-/// environment. `jobs` mirrors the harness default (explicit
-/// `ASAP_JOBS`, else available parallelism).
+/// host worker count ([`crate::pool::jobs`]), and every `ASAP_*` knob
+/// present in the environment.
 fn run_meta_line(seq: u64, t_us: u64) -> String {
     let build =
         crate::fingerprint::build_fingerprint().map_or_else(|| "unknown".into(), |f| f.hex());
-    let jobs = match std::env::var("ASAP_JOBS") {
-        Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    };
+    let jobs = crate::pool::jobs();
     let mut knobs = String::new();
     for (i, name) in crate::config::KNOWN_ASAP_ENV
         .iter()

@@ -9,6 +9,16 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Host worker threads for a figure grid, from `ASAP_JOBS` (default: the
+/// machine's available parallelism; minimum 1). An unparsable value means
+/// one worker.
+pub fn jobs() -> usize {
+    match std::env::var("ASAP_JOBS") {
+        Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
+        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+    }
+}
+
 /// Runs `f(&mut states[w], i, w)` for every `i in 0..n` and returns the
 /// results in index order.
 ///

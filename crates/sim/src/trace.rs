@@ -225,8 +225,8 @@ pub struct TraceSettings {
     pub cap: usize,
 }
 
-/// Default ring capacity (records) when tracing is enabled without an
-/// explicit `ASAP_TRACE_CAP`.
+/// Ring capacity (records) of [`TraceSettings::enabled`], and so of every
+/// trace `ASAP_TRACE` turns on.
 pub const DEFAULT_TRACE_CAP: usize = 1 << 20;
 
 impl TraceSettings {
@@ -251,20 +251,17 @@ impl TraceSettings {
         TraceSettings { enabled: true, cap }
     }
 
-    /// Reads `ASAP_TRACE` (truthy: anything but empty/`0`) and
-    /// `ASAP_TRACE_CAP` (records, default 2^20).
+    /// Reads `ASAP_TRACE` (truthy: anything but empty/`0`); an enabled
+    /// trace keeps the newest [`DEFAULT_TRACE_CAP`] records.
     pub fn from_env() -> Self {
         let on = std::env::var("ASAP_TRACE")
             .map(|v| !v.is_empty() && v != "0")
             .unwrap_or(false);
-        if !on {
-            return TraceSettings::disabled();
+        if on {
+            TraceSettings::enabled()
+        } else {
+            TraceSettings::disabled()
         }
-        let cap = std::env::var("ASAP_TRACE_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_TRACE_CAP);
-        TraceSettings::with_cap(cap)
     }
 }
 

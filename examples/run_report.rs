@@ -2,7 +2,9 @@
 //! rendered as a single file with inline-SVG sparklines for every
 //! occupancy series, the per-region stall breakdown, the hottest PM
 //! lines, and the region commit timeline. No external assets, no
-//! JavaScript — open it anywhere, attach it to a bug report.
+//! JavaScript — open it anywhere, attach it to a bug report. The page
+//! comes from the same renderer as the live `/report` endpoint
+//! (`asap_bench::report::run_html`).
 //!
 //! ```sh
 //! cargo run --release --example run_report
@@ -11,20 +13,19 @@
 //! Environment knobs:
 //!
 //! - `ASAP_OPS` / `ASAP_THREADS` — workload scale (defaults 40 / 2)
-//! - `ASAP_TELEMETRY_PERIOD` — sampling period in cycles
 //! - `ASAP_REPORT_OUT` — output path (default `target/run_report.html`)
 //!
-//! Telemetry is forced on (this report *is* the telemetry consumer).
-//! Every JSON export consumed here is round-tripped through the in-tree
-//! parser first — parse, re-emit, re-parse, compare — so this example
-//! doubles as an end-to-end validation of the exporters; it exits
+//! Telemetry is forced on (this report *is* the telemetry consumer),
+//! sampling every 1024 cycles until decimation doubles the period.
+//! Every JSON export the report draws on is round-tripped through the
+//! in-tree parser first — parse, re-emit, re-parse, compare — so this
+//! example doubles as an end-to-end validation of the exporters; it exits
 //! nonzero if any export fails to round-trip.
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use asap_core::scheme::SchemeKind;
-use asap_sim::json::{self, Value};
+use asap_sim::json;
 use asap_sim::obs::{metrics, phase};
 use asap_sim::TelemetrySettings;
 use asap_workloads::{run, BenchId, RunResult, WorkloadSpec};
@@ -37,283 +38,49 @@ fn env_u64(name: &str, default: u64) -> u64 {
 }
 
 /// Parses `label` JSON, re-emits it canonically, parses that again, and
-/// requires the two values to be equal. Returns the parsed value.
-fn validate_roundtrip(label: &str, text: &str) -> Result<Value, String> {
+/// requires the two values to be equal.
+fn validate_roundtrip(label: &str, text: &str) -> Result<(), String> {
     let v = json::parse(text).map_err(|e| format!("{label}: {e}"))?;
     let again =
         json::parse(&v.to_json()).map_err(|e| format!("{label}: re-emitted JSON broken: {e}"))?;
     if v != again {
         return Err(format!("{label}: JSON round-trip changed the value"));
     }
-    Ok(v)
+    Ok(())
 }
 
-fn html_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// An inline-SVG sparkline for one series: a polyline over the sample
-/// points, scaled into a fixed 600x60 box, with the peak value printed.
-fn sparkline(times: &[f64], values: &[f64]) -> String {
-    const W: f64 = 600.0;
-    const H: f64 = 60.0;
-    if times.is_empty() {
-        return "<em>no samples</em>".into();
-    }
-    let t0 = times[0];
-    let t1 = times[times.len() - 1].max(t0 + 1.0);
-    let vmax = values.iter().cloned().fold(0.0_f64, f64::max).max(1.0);
-    let mut pts = String::new();
-    for (t, v) in times.iter().zip(values) {
-        let x = (t - t0) / (t1 - t0) * W;
-        let y = H - (v / vmax) * (H - 4.0) - 2.0;
-        let _ = write!(pts, "{x:.1},{y:.1} ");
-    }
-    format!(
-        "<svg width=\"{W}\" height=\"{H}\" viewBox=\"0 0 {W} {H}\">\
-         <polyline points=\"{}\" fill=\"none\" stroke=\"#2563eb\" stroke-width=\"1.5\"/>\
-         </svg> <span class=\"peak\">peak {vmax:.0}</span>",
-        pts.trim_end()
-    )
-}
-
-fn build_report(
-    r: &RunResult,
-    ts: &Value,
-    lc: &Value,
-    phases: &Value,
-    metrics_snap: &Value,
-) -> Result<String, String> {
-    let mut h = String::new();
-    h.push_str(
-        "<!doctype html>\n<html><head><meta charset=\"utf-8\">\
-         <title>ASAP run report</title>\n<style>\
-         body{font:14px/1.5 system-ui,sans-serif;margin:2em auto;max-width:72em;color:#111}\
-         h1{font-size:1.4em} h2{font-size:1.1em;margin-top:2em;\
-         border-bottom:1px solid #ddd;padding-bottom:.2em}\
-         table{border-collapse:collapse} td,th{padding:.2em .8em;\
-         border:1px solid #ddd;text-align:right} th{background:#f5f5f5}\
-         td:first-child,th:first-child{text-align:left}\
-         .peak{color:#666;font-size:.85em}\
-         .series{margin:.6em 0} .series b{display:inline-block;min-width:12em}\
-         </style></head><body>\n",
-    );
-
-    let spec = &r.spec;
-    let _ = writeln!(
-        h,
-        "<h1>ASAP run report — {} / {} </h1>\n\
-         <p>{} threads, {} ops/thread, {}-byte payloads, seed {:#x}. \
-         {} transactions in {} cycles ({:.3} tx/kcycle); {} PM media writes; \
-         drained at cycle {}.</p>",
-        html_escape(spec.bench.label()),
-        html_escape(&spec.scheme.to_string()),
-        spec.threads,
-        spec.ops_per_thread,
-        spec.value_bytes,
-        spec.seed,
-        r.tx,
-        r.exec_cycles,
-        r.throughput,
-        r.pm_writes,
-        r.drained_cycles,
-    );
-
-    // --- Occupancy sparklines --------------------------------------------
-    let period = ts.get("period").and_then(Value::as_f64).unwrap_or(0.0);
-    let decim = ts.get("decimations").and_then(Value::as_f64).unwrap_or(0.0);
-    let times: Vec<f64> = ts
-        .get("t")
-        .and_then(Value::as_array)
-        .ok_or("timeseries: missing t")?
-        .iter()
-        .filter_map(Value::as_f64)
-        .collect();
-    let series = ts
-        .get("series")
-        .and_then(Value::as_object)
-        .ok_or("timeseries: missing series")?;
-    let _ = writeln!(
-        h,
-        "<h2>Occupancy over virtual time</h2>\n\
-         <p>{} samples, final period {} cycles ({} decimations).</p>",
-        times.len(),
-        period,
-        decim
-    );
-    for (name, vals) in series {
-        let vals: Vec<f64> = vals
-            .as_array()
-            .ok_or("timeseries: series not an array")?
-            .iter()
-            .filter_map(Value::as_f64)
-            .collect();
-        let _ = writeln!(
-            h,
-            "<div class=\"series\"><b>{}</b> {}</div>",
-            html_escape(name),
-            sparkline(&times, &vals)
-        );
-    }
-
-    // --- Stall breakdown --------------------------------------------------
-    h.push_str(
-        "<h2>Mean cycles per region</h2>\n<table><tr><th>component</th><th>cycles</th></tr>",
-    );
-    for (label, v) in [
-        ("compute", r.stalls.compute),
-        ("log full", r.stalls.log_full),
-        ("WPQ backpressure", r.stalls.wpq_backpressure),
-        ("dependency wait", r.stalls.dependency_wait),
-        ("commit wait", r.stalls.commit_wait),
-        ("total", r.stalls.total()),
-    ] {
-        let _ = write!(h, "<tr><td>{label}</td><td>{v:.1}</td></tr>");
-    }
-    h.push_str("</table>\n");
-
-    // --- Hottest PM lines -------------------------------------------------
-    h.push_str("<h2>Hottest PM lines</h2>\n<table><tr><th>line</th><th>media writes</th></tr>");
-    for (line, n) in &r.hot_lines {
-        let _ = write!(h, "<tr><td>{line:#x}</td><td>{n}</td></tr>");
-    }
-    h.push_str("</table>\n");
-
-    // --- Commit timeline --------------------------------------------------
-    let commits = lc
-        .get("commits")
-        .and_then(Value::as_array)
-        .ok_or("lifecycle: missing commits")?;
-    let audited = lc.get("audited").and_then(Value::as_f64).unwrap_or(0.0);
-    let dropped = lc.get("dropped").and_then(Value::as_f64).unwrap_or(0.0);
-    let _ = write!(
-        h,
-        "<h2>Region commit timeline</h2>\n\
-         <p>{} commits audited against the dependency DAG ({} evicted \
-         records); first {} shown.</p>\n\
-         <table><tr><th>#</th><th>region</th><th>commit cycle</th></tr>",
-        audited,
-        dropped,
-        commits.len().min(64)
-    );
-    for (i, c) in commits.iter().take(64).enumerate() {
-        let pair = c.as_array().ok_or("lifecycle: commit not a pair")?;
-        let rid = pair.first().and_then(Value::as_str).unwrap_or("?");
-        let at = pair.get(1).and_then(Value::as_f64).unwrap_or(0.0);
-        let _ = write!(
-            h,
-            "<tr><td>{}</td><td>{}</td><td>{at:.0}</td></tr>",
-            i + 1,
-            html_escape(rid)
-        );
-    }
-    h.push_str("</table>\n");
-
-    // --- Host profile -----------------------------------------------------
-    h.push_str(
-        "<h2>Host profile</h2>\n\
-         <p>Where the <em>host</em> time of this process went (virtual-time \
-         results are unaffected), plus the process-global metrics registry.</p>\n\
-         <table><tr><th>phase</th><th>host &micro;s</th></tr>",
-    );
-    for key in [
-        "fingerprint_us",
-        "cache_probe_us",
-        "simulate_us",
-        "export_us",
-    ] {
-        let v = phases.get(key).and_then(Value::as_u64).unwrap_or(0);
-        let _ = write!(h, "<tr><td>{}</td><td>{v}</td></tr>", &key[..key.len() - 3]);
-    }
-    let _ = writeln!(
-        h,
-        "<tr><td>cells timed</td><td>{}</td></tr></table>",
-        phases
-            .get("cells_timed")
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
-    );
-    for (kind, unit) in [("counters", ""), ("gauges", " (max)")] {
-        let Some(map) = metrics_snap.get(kind).and_then(Value::as_object) else {
-            continue;
-        };
-        if map.is_empty() {
-            continue;
-        }
-        let _ = write!(
-            h,
-            "<h3>{kind}{unit}</h3>\n<table><tr><th>name</th><th>value</th></tr>"
-        );
-        for (name, v) in map {
-            let _ = write!(
-                h,
-                "<tr><td>{}</td><td>{}</td></tr>",
-                html_escape(name),
-                v.as_u64().unwrap_or(0)
-            );
-        }
-        h.push_str("</table>\n");
-    }
-
-    h.push_str("</body></html>\n");
-    Ok(h)
+/// Validates every export of `r` (and the process-wide phase and metrics
+/// snapshots), then renders the report.
+fn report(r: &RunResult) -> Result<String, String> {
+    validate_roundtrip("stats", &r.stats.to_json())?;
+    validate_roundtrip("timeseries", r.timeseries.as_deref().unwrap_or("null"))?;
+    validate_roundtrip("lifecycle", r.lifecycle.as_deref().unwrap_or("null"))?;
+    validate_roundtrip(
+        "telemetry object",
+        &r.telemetry_json().ok_or("telemetry object missing")?,
+    )?;
+    validate_roundtrip("phases", &phase::snapshot_json())?;
+    validate_roundtrip("metrics", &metrics::snapshot_json())?;
+    asap_bench::report::run_html(r)
 }
 
 fn main() -> ExitCode {
-    let telemetry = {
-        let t = TelemetrySettings::from_env();
-        if t.enabled {
-            t
-        } else {
-            TelemetrySettings::enabled().with_period(t.period)
-        }
-    };
+    asap_sim::warn_unknown_asap_env();
     let spec = WorkloadSpec::new(BenchId::Hm, SchemeKind::Asap)
         .with_threads(env_u64("ASAP_THREADS", 2) as u32)
         .with_ops(env_u64("ASAP_OPS", 40))
-        .with_telemetry(telemetry);
-    // Scoped like a grid cell so the host-profile section has a real
+        .with_telemetry(TelemetrySettings::enabled());
+    // Scoped like a grid cell so the host-phase section has a real
     // Simulate entry even for this single-run report.
     let r = {
         let _t = phase::scope(phase::Phase::Simulate);
         run(&spec)
     };
 
-    // Validate every export through the in-tree parser before rendering.
-    let validated = (|| -> Result<(Value, Value, Value, Value), String> {
-        validate_roundtrip("stats", &r.stats.to_json())?;
-        let ts = validate_roundtrip("timeseries", r.timeseries.as_deref().unwrap_or("null"))?;
-        let lc = validate_roundtrip("lifecycle", r.lifecycle.as_deref().unwrap_or("null"))?;
-        validate_roundtrip(
-            "telemetry object",
-            &r.telemetry_json().ok_or("telemetry object missing")?,
-        )?;
-        let phases = validate_roundtrip("phases", &phase::snapshot_json())?;
-        let snap = validate_roundtrip("metrics", &metrics::snapshot_json())?;
-        Ok((ts, lc, phases, snap))
-    })();
-    let (ts, lc, phases, snap) = match validated {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("run_report: export validation FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let html = match build_report(&r, &ts, &lc, &phases, &snap) {
+    let html = match report(&r) {
         Ok(html) => html,
         Err(e) => {
-            eprintln!("run_report: {e}");
+            eprintln!("run_report: export validation FAILED: {e}");
             return ExitCode::FAILURE;
         }
     };

@@ -8,9 +8,8 @@
 //!
 //! Environment knobs:
 //!
-//! - `ASAP_TRACE` — enable tracing (anything but empty/`0`)
-//! - `ASAP_TRACE_CAP` — ring-buffer capacity in records (default 2^20;
-//!   the newest records win when the ring overflows)
+//! - `ASAP_TRACE` — enable tracing (anything but empty/`0`); the ring
+//!   keeps the newest 2^20 records
 
 use std::fs;
 
@@ -19,6 +18,7 @@ use asap_sim::TraceSettings;
 use asap_workloads::{run, BenchId, WorkloadSpec};
 
 fn main() {
+    asap_sim::warn_unknown_asap_env();
     let settings = TraceSettings::from_env();
     if !settings.enabled {
         println!("note: tracing is OFF; set ASAP_TRACE=1 to capture events\n");
