@@ -54,7 +54,7 @@ echo "    cached rerun byte-identical, all cells hit"
 echo "==> observability smoke (NDJSON stream valid, stdout untouched)"
 EV_FILE=$(mktemp -u)
 ASAP_BENCHES=HM ASAP_OPS=10 ASAP_JOBS=1 ASAP_WALLCLOCK= \
-  ASAP_EVENTS="$EV_FILE" ASAP_PROGRESS=off \
+  ASAP_EVENTS="$EV_FILE" \
   cargo bench -p asap-bench --bench fig7_speedup >target/obs_on.out 2>/dev/null
 cargo run --release -q --example events_check -- "$EV_FILE" \
   || { echo "OBS FAILURE: event stream invalid" >&2; exit 1; }
@@ -62,7 +62,7 @@ cmp target/obs_on.out target/runcache_pass1.out \
   || { echo "OBS FAILURE: stdout changed with ASAP_EVENTS on (jobs=1)" >&2; exit 1; }
 rm -f "$EV_FILE"
 ASAP_BENCHES=HM ASAP_OPS=10 ASAP_JOBS=4 ASAP_WALLCLOCK= \
-  ASAP_EVENTS="$EV_FILE" ASAP_PROGRESS=off \
+  ASAP_EVENTS="$EV_FILE" \
   cargo bench -p asap-bench --bench fig7_speedup >target/obs_on_j4.out 2>/dev/null
 cmp target/obs_on_j4.out target/runcache_pass1.out \
   || { echo "OBS FAILURE: stdout changed with ASAP_EVENTS on (jobs=4)" >&2; exit 1; }
@@ -172,58 +172,6 @@ if [ "$FAST_ENOUGH" != 1 ]; then
     echo "SWEEP FAILURE: 2 workers only ${SWEEP_SPEEDUP}x over serial (need >= 2x)" >&2; exit 1
   fi
   echo "    (speedup gate skipped: single-CPU host)"
-fi
-
-# Opt-in perf gate: warn (exit 0) when the smoke run exceeds the threshold.
-if [ -n "${ASAP_PERF_GATE:-}" ]; then
-  LAST=$(python3 - <<'EOF'
-import json, sys
-try:
-    # Warm records measured the memoized path, not the simulator; only
-    # cold entries are comparable (records predating the cache tag count
-    # as cold).
-    entries = [e for e in json.load(open("BENCH_WALLCLOCK.json"))
-               if e.get("figure") == "fig7_speedup"
-               and e.get("cache", "cold") != "warm"]
-    print(entries[-1]["host_seconds"] if entries else "")
-except Exception:
-    print("")
-EOF
-)
-  OVER=$(awk "BEGIN{print ($SMOKE_SECS > $ASAP_PERF_GATE) ? 1 : 0}")
-  if [ "$OVER" = 1 ]; then
-    echo "PERF WARNING: serial fig7 smoke ${SMOKE_SECS}s exceeds gate ${ASAP_PERF_GATE}s" >&2
-    if [ -n "$LAST" ]; then
-      DELTA=$(awk "BEGIN{printf \"%+.3f\", $SMOKE_SECS - $LAST}")
-      echo "PERF WARNING: delta vs last BENCH_WALLCLOCK.json fig7 entry (${LAST}s): ${DELTA}s" >&2
-    fi
-  else
-    echo "    perf gate ok (<= ${ASAP_PERF_GATE}s)"
-  fi
-  # Sweep throughput: compare the last two cold crash_sweep records'
-  # points_per_sec (the wallclock field emit_wallclock_sweep writes).
-  SWEEP_PPS=$(python3 - <<'EOF'
-import json
-try:
-    entries = [e for e in json.load(open("BENCH_WALLCLOCK.json"))
-               if e.get("figure") == "crash_sweep"
-               and e.get("cache", "cold") != "warm"
-               and "points_per_sec" in e]
-    if len(entries) >= 2:
-        print(entries[-2]["points_per_sec"], entries[-1]["points_per_sec"])
-except Exception:
-    pass
-EOF
-)
-  if [ -n "$SWEEP_PPS" ]; then
-    read -r PPS_PREV PPS_LAST <<<"$SWEEP_PPS"
-    PPS_SLOW=$(awk "BEGIN{print ($PPS_LAST * 2 < $PPS_PREV) ? 1 : 0}")
-    if [ "$PPS_SLOW" = 1 ]; then
-      echo "PERF WARNING: crash_sweep throughput fell from ${PPS_PREV} to ${PPS_LAST} points/s" >&2
-    else
-      echo "    perf gate ok (crash_sweep ${PPS_LAST} points/s, prev ${PPS_PREV})"
-    fi
-  fi
 fi
 
 echo "==> cargo fmt --check"

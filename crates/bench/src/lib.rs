@@ -26,17 +26,14 @@
 //! - `ASAP_RUNCACHE` / `ASAP_RUNCACHE_DIR` — content-addressed result
 //!   memoization (`off`/`mem`/`disk`, default `mem`; a disk store keeps
 //!   at most 512 files; see [`runcache`]);
-//! - `ASAP_PROGRESS` — live status line on stderr (`1`/`on` enable);
 //! - `ASAP_CRASH_SWEEP` — crash-point count for the `crash_sweep`
 //!   example, which drives [`run_crash_sweep_with`] (shared-prefix
 //!   copy-on-write forks, bit-identical to legacy `crash_after` cells);
 //! - `ASAP_SWEEP_JOBS` — fork-dispatch worker threads for crash sweeps
 //!   (default 1; snapshots are `Send`, so forks run on the same host
 //!   pool as grid cells and merge back in point order — output is
-//!   identical at any value);
-//! - `ASAP_SNAP_BUDGET` — most spine snapshots a sweep keeps resident
-//!   (default 64; over budget, every other snapshot is evicted and the
-//!   cadence doubles);
+//!   identical at any value; a sweep keeps at most 64 spine snapshots
+//!   resident, see [`snap_budget`]);
 //! - `ASAP_HTTP` — address for the live observability HTTP server
 //!   (e.g. `127.0.0.1:0`), started per grid run and stopped at grid
 //!   end: `/metrics`, `/metrics.json`, `/events`, `/progress`,
@@ -45,7 +42,8 @@
 //!
 //! Unrecognized `ASAP_`-prefixed variables draw a warning on stderr at
 //! grid startup (see [`asap_sim::warn_unknown_asap_env`]) — a typo'd
-//! knob should never fail silently.
+//! knob should never fail silently. When stderr is a terminal, a grid
+//! also redraws a live progress line there (never on stdout).
 //!
 //! Every figure is a grid of *independent deterministic simulations* — one
 //! per `(bench × scheme × payload)` cell — so the harness runs them on a
@@ -124,14 +122,11 @@ pub fn sweep_jobs() -> usize {
         .max(1)
 }
 
-/// Spine snapshot budget for crash sweeps, from `ASAP_SNAP_BUDGET`
-/// (default 64; 0 = unbounded). Bounds sweep memory: over budget, every
-/// other spine snapshot is evicted and the cadence doubles.
+/// Spine snapshot budget of every crash sweep the harness runs:
+/// [`SweepConfig::new`]'s default of 64. Bounds sweep memory: over
+/// budget, every other spine snapshot is evicted and the cadence doubles.
 pub fn snap_budget() -> usize {
-    std::env::var("ASAP_SNAP_BUDGET")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(64)
+    SweepConfig::new(1).snap_budget
 }
 
 /// Runs every spec in `specs` and returns the results in the same order,
@@ -161,8 +156,9 @@ pub fn run_grid_jobs(specs: &[WorkloadSpec], jobs: usize) -> Vec<RunResult> {
 /// Observability (all off the figure's stdout): when `ASAP_EVENTS` is
 /// set, the grid emits `grid_start`, one `cell_start`/`cell_end` pair
 /// per cell (ordered by completion, keyed by fingerprint), and
-/// `grid_end` records; `ASAP_PROGRESS=1` draws a live status line on
-/// stderr; host time is attributed to the [`phase`] profiler either way.
+/// `grid_end` records; when stderr is a terminal, a live status line is
+/// drawn there; host time is attributed to the [`phase`] profiler either
+/// way.
 pub fn run_grid_with(
     specs: &[WorkloadSpec],
     jobs: usize,
@@ -253,7 +249,7 @@ impl RunBracket {
         let server = start_obs_server();
         let events_on = events::enabled();
         let cache_on = cache.enabled();
-        let progress = Progress::from_env(cells);
+        let progress = Progress::new(cells);
         let t0 = Instant::now();
         if events_on {
             events::Event::new("grid_start")
@@ -456,9 +452,7 @@ pub fn run_crash_sweep_with(
         let sim_t0 = Instant::now();
         let sweep = {
             let _t = phase::scope(phase::Phase::Simulate);
-            let cfg = SweepConfig::new(snap_every)
-                .with_budget(snap_budget())
-                .with_jobs(sweep_jobs());
+            let cfg = SweepConfig::new(snap_every).with_jobs(sweep_jobs());
             run_sweep_with(spec, &missing_points, &cfg)
         };
         prefix_writes = sweep.prefix_writes;
@@ -620,13 +614,12 @@ fn total(results: &[&[RunResult]], f: impl Fn(&RunResult) -> u64) -> u64 {
 /// cycles and traffic must not, which is what makes the trajectory useful
 /// to future perf PRs. `cache` is `"warm"` when any run-cache hit served
 /// part of this process (so its host seconds measure the memoized path,
-/// not the simulator) and `"cold"` otherwise; perf comparisons like the
-/// `ASAP_PERF_GATE` check in `ci.sh` must skip warm records. `phases` is
-/// the host-phase profile *taken* at write time
-/// ([`phase::take_snapshot_json`]): each record owns the interval since
-/// the previous record, so back-to-back emits in one process (e.g.
-/// `crash_sweep` then `crash_sweep_legacy`) never repeat each other's
-/// `simulate_us`/`cells_timed`.
+/// not the simulator) and `"cold"` otherwise; perf comparisons across
+/// records must skip warm ones. `phases` is the host-phase profile
+/// *taken* at write time ([`phase::take_snapshot_json`]): each record
+/// owns the interval since the previous record, so back-to-back emits in
+/// one process (e.g. `crash_sweep` then `crash_sweep_legacy`) never
+/// repeat each other's `simulate_us`/`cells_timed`.
 ///
 /// The note confirming the write goes to *stderr*: stdout stays
 /// byte-identical across `ASAP_JOBS` settings and host speeds.
@@ -636,8 +629,9 @@ pub fn emit_wallclock(figure: &str, elapsed: Duration, grids: &[&[RunResult]]) {
 
 /// [`emit_wallclock`] for crash sweeps: the record additionally carries
 /// `crash_points` (how many points the sweep covered) and
-/// `points_per_sec` (that count over the host seconds) — the sweep
-/// throughput the `ASAP_PERF_GATE` comparison in `ci.sh` tracks.
+/// `points_per_sec` (that count over the host seconds), the sweep
+/// throughput on this host. The committed cross-revision record is the
+/// benchmark's, in `BENCH_HISTORY.json`.
 pub fn emit_wallclock_sweep(
     figure: &str,
     elapsed: Duration,
@@ -799,8 +793,9 @@ fn cap_trajectory(records: &mut Vec<String>, figure: &str) -> usize {
 }
 
 /// Writes `body` to a same-directory temp file, then renames it over
-/// `path`, so readers never observe a partial file.
-fn write_atomic(path: &std::path::Path, body: &str) -> std::io::Result<()> {
+/// `path`, so readers never observe a partial file (for concurrent writers
+/// of one path, the last rename wins).
+pub(crate) fn write_atomic(path: &std::path::Path, body: &str) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(".tmp.{}", std::process::id()));
     let tmp = std::path::PathBuf::from(tmp);

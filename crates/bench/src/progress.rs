@@ -1,17 +1,20 @@
 //! Grid progress tracking: one shared [`ProgressState`] behind both the
-//! opt-in stderr status line (`ASAP_PROGRESS=1`) and the `/progress`
-//! endpoint of the observability server (`ASAP_HTTP`).
+//! stderr status line and the `/progress` endpoint of the observability
+//! server (`ASAP_HTTP`).
 //!
 //! Counting is always on — `tick` is two relaxed atomic adds, cheap
 //! enough to pay unconditionally — so the HTTP endpoint works whether or
-//! not the stderr line is enabled. Only the *drawing* is gated by
-//! `ASAP_PROGRESS`. The status line is redrawn in place on stderr with
-//! `\r`, rate-limited to ~10 Hz, erased (erase-to-EOL) when the grid
-//! finishes or a `note!`/`warn!` needs the terminal (via the
-//! status-line hook in `asap_sim::obs::log`), and never touches stdout.
+//! not the stderr line is drawn. Only the *drawing* is gated: on when
+//! stderr is a terminal, off when it is redirected to a file or pipe
+//! (CI logs, captured test output). The status line is redrawn in place
+//! on stderr with `\r`, rate-limited to ~10 Hz, erased (erase-to-EOL)
+//! when the grid finishes or a `note!`/`warn!` needs the terminal (via
+//! the status-line hook in `asap_sim::obs::log`), and never touches
+//! stdout.
 //! The ETA prints `--:--` until at least one cell and ~100 ms have
 //! elapsed — no `inf`/`NaN` nonsense at start-up.
 
+use std::io::IsTerminal;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -115,7 +118,7 @@ pub(crate) fn current_state() -> Option<Arc<ProgressState>> {
 }
 
 /// Per-grid handle owned by `run_grid_with`: counts always, draws when
-/// `ASAP_PROGRESS` is on.
+/// stderr is a terminal.
 pub(crate) struct Progress {
     draw: bool,
     state: Arc<ProgressState>,
@@ -125,11 +128,10 @@ pub(crate) struct Progress {
 }
 
 impl Progress {
-    /// Reads `ASAP_PROGRESS` (`1`/`on`/`true`/`yes` enable drawing) and
+    /// Draws iff stderr is a terminal and there is a cell to count;
     /// installs the state for the `/progress` endpoint.
-    pub fn from_env(total: usize) -> Self {
-        let v = std::env::var("ASAP_PROGRESS").unwrap_or_default();
-        let draw = matches!(v.trim(), "1" | "on" | "true" | "yes") && total > 0;
+    pub fn new(total: usize) -> Self {
+        let draw = std::io::stderr().is_terminal() && total > 0;
         let state = Arc::new(ProgressState::new(total));
         *current_slot().lock().unwrap() = Some(Arc::clone(&state));
         Progress {

@@ -46,6 +46,8 @@ use asap_sim::fingerprint::{build_fingerprint, Fingerprint};
 use asap_sim::obs::{self, events, metrics};
 use asap_workloads::{resultjson, RunResult};
 
+use crate::write_atomic;
+
 /// Which tiers a grid run consults, and the disk-store shape.
 #[derive(Clone, Debug)]
 pub struct RunCacheConfig {
@@ -296,19 +298,6 @@ pub fn insert(fp: &Fingerprint, result: &RunResult, cfg: &RunCacheConfig) {
     }
 }
 
-/// Same-directory temp-then-rename write (readers never see a partial
-/// file; last writer wins for concurrent same-cell inserts, and both
-/// write identical bytes anyway).
-fn write_atomic(path: &Path, body: &str) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp.{}", std::process::id()));
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, body)?;
-    std::fs::rename(&tmp, path).inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })
-}
-
 /// Bumps a hit file's mtime so the LRU cap evicts cold cells first.
 fn touch(path: &Path) {
     if let Ok(f) = std::fs::File::options().write(true).open(path) {
@@ -449,6 +438,37 @@ mod tests {
         std::fs::write(&path, "{not json").unwrap();
         assert!(lookup(&spec.fingerprint(), &cfg).is_none());
         assert!(!path.exists(), "corrupt file is removed");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn disk_file_name_is_the_hash_of_its_stored_spec() {
+        use asap_core::scheme::AsapOpts;
+        use asap_sim::fingerprint::hash_bytes;
+        let root = temp_dir("spec-key");
+        let cfg = RunCacheConfig::disk_only(&root, 16);
+        let spec = WorkloadSpec::small(BenchId::Hm, SchemeKind::AsapWith(AsapOpts::all()))
+            .with_ops(6)
+            .with_tracking()
+            .with_crash_after(40);
+        insert(&spec.fingerprint(), &run(&spec), &cfg);
+        let dir = build_dir(&root).unwrap();
+        let entries: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(entries.len(), 1, "{entries:?}");
+        let text = std::fs::read_to_string(&entries[0]).unwrap();
+        // The spec object is the file's first field; `"tx"` follows it.
+        let stored = text
+            .strip_prefix("{\"spec\":")
+            .and_then(|rest| rest.split_once(",\"tx\":"))
+            .map(|(spec, _)| spec)
+            .expect("cache file starts with its spec");
+        assert!(asap_sim::json::parse(stored).is_ok(), "{stored}");
+        let name = entries[0].file_stem().unwrap().to_str().unwrap();
+        assert_eq!(hash_bytes(stored.as_bytes()).hex(), name);
+        assert_eq!(spec.fingerprint().hex(), name);
         let _ = std::fs::remove_dir_all(&root);
     }
 

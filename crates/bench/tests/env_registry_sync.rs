@@ -28,7 +28,7 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The `ASAP_*` names `ci.sh` expands (`${ASAP_PERF_GATE:-}` and the like).
+/// The `ASAP_*` names `ci.sh` expands (`${ASAP_OPS:-}` and the like).
 fn ci_expansions(text: &str) -> Vec<String> {
     let mut out = Vec::new();
     let mut rest = text;
@@ -93,7 +93,7 @@ fn env_registry_matches_env_reads() {
         "ASAP_RUNCACHE",
         "ASAP_EVENTS",
         "ASAP_LOG",
-        "ASAP_PROGRESS",
+        "ASAP_JOBS",
     ] {
         assert!(seen.contains(known), "scan should find a read of {known}");
     }

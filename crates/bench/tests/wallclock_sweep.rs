@@ -4,7 +4,7 @@
 //! scoped-timer totals were process-cumulative and never taken). Each
 //! record now *takes* the totals, so back-to-back emits report disjoint
 //! intervals. Also covers the sweep-throughput fields
-//! (`crash_points`/`points_per_sec`) the `ASAP_PERF_GATE` check reads.
+//! (`crash_points`/`points_per_sec`) of sweep records.
 //!
 //! One `#[test]`: the phase totals are process-global, so a parallel test
 //! thread would race the interval assertions.

@@ -291,12 +291,9 @@ pub const KNOWN_ASAP_ENV: &[&str] = &[
     "ASAP_LOG",
     "ASAP_MICRO_ITERS",
     "ASAP_OPS",
-    "ASAP_PERF_GATE",
-    "ASAP_PROGRESS",
     "ASAP_REPORT_OUT",
     "ASAP_RUNCACHE",
     "ASAP_RUNCACHE_DIR",
-    "ASAP_SNAP_BUDGET",
     "ASAP_SWEEP_JOBS",
     "ASAP_TELEMETRY",
     "ASAP_TELEMETRY_OUT",

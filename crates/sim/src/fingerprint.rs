@@ -8,15 +8,11 @@
 //! lookup instead of a simulation. This module provides the two halves
 //! of the key:
 //!
-//! - **Cell fingerprint** — a canonical byte serialization of every
-//!   behavior-affecting input ([`Canon`]) folded into a 128-bit hash
-//!   ([`Fingerprint`]). The encoding is *canonical*: fixed field order,
-//!   fixed widths, length-prefixed strings, explicit option tags — two
-//!   equal specs always produce identical bytes, and (collision aside)
-//!   two differing specs always produce different bytes. The workloads
-//!   crate encodes its `WorkloadSpec` with this; this module supplies
-//!   the encoders for the types it owns ([`SystemConfig`],
-//!   [`TraceSettings`], [`TelemetrySettings`]).
+//! - **Cell fingerprint** — [`hash_bytes`] of a canonical serialization
+//!   of every behavior-affecting input, folded into a 128-bit
+//!   [`Fingerprint`]. The workloads crate hashes its `WorkloadSpec`'s
+//!   canonical JSON (`asap_workloads::resultjson`), the same text every
+//!   cache file stores under `"spec"`; this module only hashes bytes.
 //! - **Build fingerprint** — a hash of the running executable's bytes
 //!   ([`build_fingerprint`]). Any recompile — new code, new flags, new
 //!   toolchain — changes the executable and thereby invalidates every
@@ -33,15 +29,10 @@
 //! few thousand cache cells, not an adversary.
 //!
 //! [`RunResult`]: ../../asap_workloads/driver/struct.RunResult.html
-//! [`SystemConfig`]: crate::SystemConfig
 
 use std::fmt;
 use std::io::Read;
 use std::sync::OnceLock;
-
-use crate::config::{AsapConfig, CacheConfig, MemConfig, SystemConfig};
-use crate::timeseries::TelemetrySettings;
-use crate::trace::TraceSettings;
 
 /// Fibonacci multiplier of the simulator's address hasher (lane 0).
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -52,7 +43,7 @@ const FIB2: u64 = 0xBF58_476D_1CE4_E5B9;
 const LANE1_SEED: u64 = 0x94D0_49BB_1331_11EB;
 
 /// A 128-bit content fingerprint: two independent 64-bit multiply-xor
-/// lanes over the same canonical byte stream.
+/// lanes over the same byte stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint(pub [u64; 2]);
 
@@ -66,66 +57,6 @@ impl Fingerprint {
 impl fmt::Display for Fingerprint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.hex())
-    }
-}
-
-/// A canonical, append-only byte encoder. Writers are fixed-width
-/// little-endian (or length-prefixed, for strings), so an encoding is a
-/// prefix-free function of the written value sequence: no two distinct
-/// value sequences share a byte stream.
-#[derive(Clone, Debug, Default)]
-pub struct Canon {
-    buf: Vec<u8>,
-}
-
-impl Canon {
-    /// An empty encoder.
-    pub fn new() -> Self {
-        Canon::default()
-    }
-
-    /// Appends a `u64`.
-    pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Appends a `u32` (widened: one integer width on the wire keeps the
-    /// encoding trivially unambiguous).
-    pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.u64(u64::from(v))
-    }
-
-    /// Appends a `bool` as one byte.
-    pub fn bool(&mut self, v: bool) -> &mut Self {
-        self.buf.push(u8::from(v));
-        self
-    }
-
-    /// Appends an `Option<u64>` with an explicit presence tag, so
-    /// `None` and `Some(0)` encode differently.
-    pub fn opt_u64(&mut self, v: Option<u64>) -> &mut Self {
-        match v {
-            None => self.bool(false),
-            Some(v) => self.bool(true).u64(v),
-        }
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) -> &mut Self {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-        self
-    }
-
-    /// The canonical bytes written so far.
-    pub fn bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Hashes the canonical bytes into a [`Fingerprint`].
-    pub fn fingerprint(&self) -> Fingerprint {
-        hash_bytes(&self.buf)
     }
 }
 
@@ -146,65 +77,6 @@ fn lane(bytes: &[u8], seed: u64, mult: u64) -> u64 {
 /// Hashes a byte slice into a [`Fingerprint`] (two independent lanes).
 pub fn hash_bytes(bytes: &[u8]) -> Fingerprint {
     Fingerprint([lane(bytes, 0, FIB), lane(bytes, LANE1_SEED, FIB2)])
-}
-
-/// Canonically encodes a [`CacheConfig`].
-pub fn canon_cache_config(c: &mut Canon, cfg: &CacheConfig) {
-    c.u64(cfg.size_bytes).u32(cfg.ways).u64(cfg.latency);
-}
-
-/// Canonically encodes a [`MemConfig`].
-pub fn canon_mem_config(c: &mut Canon, m: &MemConfig) {
-    c.u32(m.controllers)
-        .u32(m.channels_per_mc)
-        .u32(m.wpq_entries)
-        .u64(m.dram_latency)
-        .u64(m.dram_write_service)
-        .u64(m.pm_latency_mult)
-        .u64(m.mc_hop_latency)
-        .u64(m.wpq_residency)
-        .u32(m.wpq_drain_watermark);
-}
-
-/// Canonically encodes an [`AsapConfig`].
-pub fn canon_asap_config(c: &mut Canon, a: &AsapConfig) {
-    c.u32(a.cl_list_entries)
-        .u32(a.clptr_slots)
-        .u32(a.dep_list_entries)
-        .u32(a.dep_slots)
-        .u32(a.lh_wpq_entries)
-        .u32(a.bloom_bits)
-        .u32(a.dpo_distance)
-        .u32(a.log_entries_per_record)
-        .bool(a.numa_broadcast_filter);
-}
-
-/// Canonically encodes a full [`SystemConfig`]. Every field participates:
-/// omitting one here would alias two different simulated systems onto one
-/// cache cell, which is why the workloads crate's fingerprint tests
-/// mutate each field in turn and assert distinctness.
-pub fn canon_system_config(c: &mut Canon, s: &SystemConfig) {
-    c.u32(s.cores);
-    canon_cache_config(c, &s.l1);
-    canon_cache_config(c, &s.l2);
-    canon_cache_config(c, &s.llc);
-    canon_mem_config(c, &s.mem);
-    canon_asap_config(c, &s.asap);
-    c.u64(s.compute_cost).u64(s.store_cost).u64(s.lock_cost);
-}
-
-/// Canonically encodes [`TraceSettings`]. Tracing changes no simulated
-/// numbers, but it changes what a run *exports* (`chrome_trace`,
-/// `trace_dump` on the result) — a cached result must carry the same
-/// artifacts a fresh run would.
-pub fn canon_trace_settings(c: &mut Canon, t: &TraceSettings) {
-    c.bool(t.enabled).u64(t.cap as u64);
-}
-
-/// Canonically encodes [`TelemetrySettings`] (same rationale as
-/// [`canon_trace_settings`]: the sampler changes the exported artifacts).
-pub fn canon_telemetry_settings(c: &mut Canon, t: &TelemetrySettings) {
-    c.bool(t.enabled).u64(t.period).u64(t.cap as u64);
 }
 
 /// The build fingerprint: a hash of the running executable's bytes,
@@ -264,117 +136,6 @@ mod tests {
         // The two lanes are independently parameterized.
         let fp = hash_bytes(b"lanes");
         assert_ne!(fp.0[0], fp.0[1]);
-    }
-
-    #[test]
-    fn canon_writers_are_prefix_free() {
-        // Same total content, different write boundaries => different
-        // bytes (strings are length-prefixed).
-        let mut a = Canon::new();
-        a.str("ab").str("c");
-        let mut b = Canon::new();
-        b.str("a").str("bc");
-        assert_ne!(a.bytes(), b.bytes());
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        // Option tags distinguish None from Some(0).
-        let mut none = Canon::new();
-        none.opt_u64(None);
-        let mut some = Canon::new();
-        some.opt_u64(Some(0));
-        assert_ne!(none.bytes(), some.bytes());
-    }
-
-    #[test]
-    fn system_config_fingerprint_sees_every_field() {
-        let base = SystemConfig::table2();
-        let fp = |s: &SystemConfig| {
-            let mut c = Canon::new();
-            canon_system_config(&mut c, s);
-            c.fingerprint()
-        };
-        let base_fp = fp(&base);
-        assert_eq!(base_fp, fp(&base), "fingerprint must be deterministic");
-        let mut mutants: Vec<SystemConfig> = Vec::new();
-        macro_rules! mutant {
-            ($field:ident . $($rest:tt)*) => {{
-                let mut m = base;
-                m.$field.$($rest)*;
-                mutants.push(m);
-            }};
-            ($field:ident = $v:expr) => {{
-                let mut m = base;
-                m.$field = $v;
-                mutants.push(m);
-            }};
-        }
-        mutant!(cores = 17);
-        mutant!(l1.size_bytes = 64 << 10);
-        mutant!(l1.ways = 4);
-        mutant!(l1.latency = 5);
-        mutant!(l2.latency = 15);
-        mutant!(llc.size_bytes = 4 << 20);
-        mutant!(mem.controllers = 1);
-        mutant!(mem.channels_per_mc = 4);
-        mutant!(mem.wpq_entries = 64);
-        mutant!(mem.dram_latency = 151);
-        mutant!(mem.dram_write_service = 13);
-        mutant!(mem.pm_latency_mult = 4);
-        mutant!(mem.mc_hop_latency = 41);
-        mutant!(mem.wpq_residency = 0);
-        mutant!(mem.wpq_drain_watermark = 16);
-        mutant!(asap.cl_list_entries = 8);
-        mutant!(asap.clptr_slots = 4);
-        mutant!(asap.dep_list_entries = 64);
-        mutant!(asap.dep_slots = 2);
-        mutant!(asap.lh_wpq_entries = 16);
-        mutant!(asap.bloom_bits = 4096);
-        mutant!(asap.dpo_distance = 2);
-        mutant!(asap.log_entries_per_record = 3);
-        mutant!(asap.numa_broadcast_filter = true);
-        mutant!(compute_cost = 2);
-        mutant!(store_cost = 2);
-        mutant!(lock_cost = 21);
-        for m in &mutants {
-            assert_ne!(fp(m), base_fp, "mutation not seen: {m:?}");
-        }
-        // All mutants are pairwise distinct too (no aliasing between
-        // different fields holding swapped values).
-        let mut fps: Vec<Fingerprint> = mutants.iter().map(fp).collect();
-        fps.push(base_fp);
-        fps.sort();
-        let before = fps.len();
-        fps.dedup();
-        assert_eq!(fps.len(), before, "fingerprint collision among mutants");
-    }
-
-    #[test]
-    fn settings_fingerprints_differ() {
-        let fp_trace = |t: &TraceSettings| {
-            let mut c = Canon::new();
-            canon_trace_settings(&mut c, t);
-            c.fingerprint()
-        };
-        assert_ne!(
-            fp_trace(&TraceSettings::disabled()),
-            fp_trace(&TraceSettings::enabled())
-        );
-        assert_ne!(
-            fp_trace(&TraceSettings::with_cap(16)),
-            fp_trace(&TraceSettings::with_cap(17))
-        );
-        let fp_tel = |t: &TelemetrySettings| {
-            let mut c = Canon::new();
-            canon_telemetry_settings(&mut c, t);
-            c.fingerprint()
-        };
-        assert_ne!(
-            fp_tel(&TelemetrySettings::disabled()),
-            fp_tel(&TelemetrySettings::enabled())
-        );
-        assert_ne!(
-            fp_tel(&TelemetrySettings::enabled()),
-            fp_tel(&TelemetrySettings::enabled().with_period(64))
-        );
     }
 
     #[test]

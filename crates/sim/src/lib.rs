@@ -50,7 +50,7 @@ pub use config::{
     warn_unknown_asap_env, AsapConfig, CacheConfig, MemConfig, SystemConfig, KNOWN_ASAP_ENV,
 };
 pub use events::EventQueue;
-pub use fingerprint::{Canon, Fingerprint};
+pub use fingerprint::Fingerprint;
 pub use lock::VirtualLock;
 pub use sched::ThreadClocks;
 pub use stats::{Histogram, Stats, Summary};

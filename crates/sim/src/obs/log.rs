@@ -54,7 +54,7 @@ pub fn enabled(at: Level) -> bool {
     at <= level()
 }
 
-/// Whether a `\r`-style status line (the `ASAP_PROGRESS` ticker) is
+/// Whether a `\r`-style status line (the grid progress ticker) is
 /// currently occupying the terminal's last stderr line.
 static STATUS_ACTIVE: AtomicBool = AtomicBool::new(false);
 

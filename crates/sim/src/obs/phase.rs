@@ -22,7 +22,8 @@ use std::time::Instant;
 /// One host-side phase of a figure run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
-    /// Canonicalizing and hashing specs into content fingerprints.
+    /// Serializing specs to canonical JSON and hashing them into content
+    /// fingerprints.
     Fingerprint,
     /// Run-cache lookups (both tiers), including fan-out of duplicates.
     CacheProbe,

@@ -869,7 +869,7 @@ mod tests {
         let text = s.to_exact_json();
         let back = Stats::from_exact_json(&json::parse(&text).expect("parses")).expect("decodes");
         assert_eq!(back, s);
-        // Canonical: re-serialization is byte-identical.
+        // The form is canonical: re-serialization is byte-identical.
         assert_eq!(back.to_exact_json(), text);
         // The derived report of the reconstruction matches too.
         assert_eq!(back.to_json(), s.to_json());

@@ -21,6 +21,8 @@
 //! results through [`to_json`] → [`from_json`] and asserts field-exact
 //! equality.
 
+use std::fmt::Write;
+
 use asap_core::machine::RunOutcome;
 use asap_core::scheme::{AsapOpts, RecoveryReport, SchemeKind};
 use asap_mem::Rid;
@@ -35,7 +37,8 @@ pub fn to_json(r: &RunResult) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\"spec\":");
     spec_to_json(&mut out, &r.spec);
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         ",\"tx\":{},\"exec_cycles\":{},\"drained_cycles\":{},\"throughput\":{},\
          \"pm_writes\":{},\"region_cycles_mean\":{}",
         r.tx,
@@ -44,8 +47,9 @@ pub fn to_json(r: &RunResult) -> String {
         float(r.throughput),
         r.pm_writes,
         float(r.region_cycles_mean),
-    ));
-    out.push_str(&format!(
+    );
+    let _ = write!(
+        out,
         ",\"stalls\":{{\"compute\":{},\"log_full\":{},\"wpq_backpressure\":{},\
          \"dependency_wait\":{},\"commit_wait\":{}}}",
         float(r.stalls.compute),
@@ -53,7 +57,7 @@ pub fn to_json(r: &RunResult) -> String {
         float(r.stalls.wpq_backpressure),
         float(r.stalls.dependency_wait),
         float(r.stalls.commit_wait),
-    ));
+    );
     out.push_str(",\"stats\":");
     out.push_str(&r.stats.to_exact_json());
     for (name, text) in [
@@ -63,12 +67,14 @@ pub fn to_json(r: &RunResult) -> String {
         ("lifecycle", &r.lifecycle),
         ("lifecycle_dot", &r.lifecycle_dot),
     ] {
-        out.push_str(&format!(",\"{name}\":"));
+        let _ = write!(out, ",\"{name}\":");
         match text {
             // The artifacts are themselves JSON/text blobs; they travel
             // as strings so the round trip is byte-exact whatever their
             // internal formatting.
-            Some(t) => out.push_str(&format!("\"{}\"", json::escape(t))),
+            Some(t) => {
+                let _ = write!(out, "\"{}\"", json::escape(t));
+            }
             None => out.push_str("null"),
         }
     }
@@ -77,7 +83,7 @@ pub fn to_json(r: &RunResult) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("[{line},{n}]"));
+        let _ = write!(out, "[{line},{n}]");
     }
     out.push_str("],\"outcome\":");
     out.push_str(match r.outcome {
@@ -92,7 +98,7 @@ pub fn to_json(r: &RunResult) -> String {
             rids_to_json(&mut out, &rep.uncommitted);
             out.push_str(",\"replayed\":");
             rids_to_json(&mut out, &rep.replayed);
-            out.push_str(&format!(",\"restored_lines\":{}}}", rep.restored_lines));
+            let _ = write!(out, ",\"restored_lines\":{}}}", rep.restored_lines);
         }
     }
     out.push_str(",\"crash_points\":[");
@@ -100,11 +106,12 @@ pub fn to_json(r: &RunResult) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "{{\"crash_after\":{},\"crashed\":{},\"uncommitted\":{},\"replayed\":{},\
              \"restored_lines\":{},\"tx\":{}}}",
             c.crash_after, c.crashed, c.uncommitted, c.replayed, c.restored_lines, c.tx,
-        ));
+        );
     }
     out.push(']');
     out.push('}');
@@ -265,7 +272,7 @@ fn rids_to_json(out: &mut String, rids: &[Rid]) {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("[{},{}]", r.thread(), r.local()));
+        let _ = write!(out, "[{},{}]", r.thread(), r.local());
     }
     out.push(']');
 }
@@ -291,8 +298,13 @@ fn rids_from_json(v: Option<&Value>) -> Result<Vec<Rid>, String> {
         .collect()
 }
 
-fn spec_to_json(out: &mut String, s: &WorkloadSpec) {
-    out.push_str(&format!("{{\"bench\":\"{}\",\"scheme\":", s.bench.label()));
+/// Appends the spec's canonical JSON: the `"spec"` object of every cache
+/// file and, hashed, the spec's cache key ([`WorkloadSpec::fingerprint`]).
+/// Every field is written; [`spec_from_json`] builds the spec back with an
+/// exhaustive struct literal, so a field added to the spec and left out
+/// here fails to compile there or fails the round-trip suite.
+pub(crate) fn spec_to_json(out: &mut String, s: &WorkloadSpec) {
+    let _ = write!(out, "{{\"bench\":\"{}\",\"scheme\":", s.bench.label());
     match s.scheme {
         SchemeKind::NoPersist => out.push_str("{\"kind\":\"np\"}"),
         SchemeKind::SwUndo => out.push_str("{\"kind\":\"sw\"}"),
@@ -300,72 +312,78 @@ fn spec_to_json(out: &mut String, s: &WorkloadSpec) {
         SchemeKind::HwUndo => out.push_str("{\"kind\":\"hw_undo\"}"),
         SchemeKind::HwRedo => out.push_str("{\"kind\":\"hw_redo\"}"),
         SchemeKind::Asap => out.push_str("{\"kind\":\"asap\"}"),
-        SchemeKind::AsapWith(o) => out.push_str(&format!(
-            "{{\"kind\":\"asap_with\",\"dpo_coalescing\":{},\"lpo_dropping\":{},\
-             \"dpo_dropping\":{}}}",
-            o.dpo_coalescing, o.lpo_dropping, o.dpo_dropping
-        )),
+        SchemeKind::AsapWith(o) => {
+            let _ = write!(
+                out,
+                "{{\"kind\":\"asap_with\",\"dpo_coalescing\":{},\"lpo_dropping\":{},\
+                 \"dpo_dropping\":{}}}",
+                o.dpo_coalescing, o.lpo_dropping, o.dpo_dropping
+            );
+        }
     }
     out.push_str(",\"system\":");
     system_to_json(out, &s.system);
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         ",\"threads\":{},\"ops_per_thread\":{},\"value_bytes\":{},\"keyspace\":{},\
          \"setup_keys\":{},\"seed\":{},\"track\":{}",
         s.threads, s.ops_per_thread, s.value_bytes, s.keyspace, s.setup_keys, s.seed, s.track,
-    ));
+    );
     match s.crash_after {
-        Some(n) => out.push_str(&format!(",\"crash_after\":{n}")),
+        Some(n) => {
+            let _ = write!(out, ",\"crash_after\":{n}");
+        }
         None => out.push_str(",\"crash_after\":null"),
     }
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         ",\"trace\":{{\"enabled\":{},\"cap\":{}}},\
          \"telemetry\":{{\"enabled\":{},\"period\":{},\"cap\":{}}}}}",
         s.trace.enabled, s.trace.cap, s.telemetry.enabled, s.telemetry.period, s.telemetry.cap,
-    ));
+    );
 }
 
 fn system_to_json(out: &mut String, sys: &SystemConfig) {
-    let cache = |c: &CacheConfig| {
-        format!(
-            "{{\"size_bytes\":{},\"ways\":{},\"latency\":{}}}",
+    let _ = write!(out, "{{\"cores\":{}", sys.cores);
+    for (name, c) in [("l1", &sys.l1), ("l2", &sys.l2), ("llc", &sys.llc)] {
+        let _ = write!(
+            out,
+            ",\"{name}\":{{\"size_bytes\":{},\"ways\":{},\"latency\":{}}}",
             c.size_bytes, c.ways, c.latency
-        )
-    };
-    out.push_str(&format!(
-        "{{\"cores\":{},\"l1\":{},\"l2\":{},\"llc\":{},\"mem\":{{\"controllers\":{},\
-         \"channels_per_mc\":{},\"wpq_entries\":{},\"dram_latency\":{},\
-         \"dram_write_service\":{},\"pm_latency_mult\":{},\"mc_hop_latency\":{},\
-         \"wpq_residency\":{},\"wpq_drain_watermark\":{}}},\"asap\":{{\
-         \"cl_list_entries\":{},\"clptr_slots\":{},\"dep_list_entries\":{},\
+        );
+    }
+    let (m, a) = (&sys.mem, &sys.asap);
+    let _ = write!(
+        out,
+        ",\"mem\":{{\"controllers\":{},\"channels_per_mc\":{},\"wpq_entries\":{},\
+         \"dram_latency\":{},\"dram_write_service\":{},\"pm_latency_mult\":{},\
+         \"mc_hop_latency\":{},\"wpq_residency\":{},\"wpq_drain_watermark\":{}}},\
+         \"asap\":{{\"cl_list_entries\":{},\"clptr_slots\":{},\"dep_list_entries\":{},\
          \"dep_slots\":{},\"lh_wpq_entries\":{},\"bloom_bits\":{},\"dpo_distance\":{},\
          \"log_entries_per_record\":{},\"numa_broadcast_filter\":{}}},\
          \"compute_cost\":{},\"store_cost\":{},\"lock_cost\":{}}}",
-        sys.cores,
-        cache(&sys.l1),
-        cache(&sys.l2),
-        cache(&sys.llc),
-        sys.mem.controllers,
-        sys.mem.channels_per_mc,
-        sys.mem.wpq_entries,
-        sys.mem.dram_latency,
-        sys.mem.dram_write_service,
-        sys.mem.pm_latency_mult,
-        sys.mem.mc_hop_latency,
-        sys.mem.wpq_residency,
-        sys.mem.wpq_drain_watermark,
-        sys.asap.cl_list_entries,
-        sys.asap.clptr_slots,
-        sys.asap.dep_list_entries,
-        sys.asap.dep_slots,
-        sys.asap.lh_wpq_entries,
-        sys.asap.bloom_bits,
-        sys.asap.dpo_distance,
-        sys.asap.log_entries_per_record,
-        sys.asap.numa_broadcast_filter,
+        m.controllers,
+        m.channels_per_mc,
+        m.wpq_entries,
+        m.dram_latency,
+        m.dram_write_service,
+        m.pm_latency_mult,
+        m.mc_hop_latency,
+        m.wpq_residency,
+        m.wpq_drain_watermark,
+        a.cl_list_entries,
+        a.clptr_slots,
+        a.dep_list_entries,
+        a.dep_slots,
+        a.lh_wpq_entries,
+        a.bloom_bits,
+        a.dpo_distance,
+        a.log_entries_per_record,
+        a.numa_broadcast_filter,
         sys.compute_cost,
         sys.store_cost,
         sys.lock_cost,
-    ));
+    );
 }
 
 fn bench_from_label(label: &str) -> Result<BenchId, String> {
@@ -532,7 +550,7 @@ mod tests {
         let text = to_json(&r);
         let back = from_json(&text).expect("decodes");
         assert!(results_identical(&r, &back));
-        // Canonical: serialization of the reconstruction is byte-equal.
+        // The form is canonical: re-serializing the reconstruction is byte-equal.
         assert_eq!(to_json(&back), text);
     }
 

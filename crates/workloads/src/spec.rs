@@ -3,9 +3,7 @@
 use std::fmt;
 
 use asap_core::scheme::SchemeKind;
-use asap_sim::fingerprint::{
-    canon_system_config, canon_telemetry_settings, canon_trace_settings, Canon, Fingerprint,
-};
+use asap_sim::fingerprint::{hash_bytes, Fingerprint};
 use asap_sim::{SystemConfig, TelemetrySettings, TraceSettings};
 
 /// The nine benchmarks of Table 3.
@@ -216,60 +214,25 @@ impl WorkloadSpec {
         self
     }
 
-    /// The spec's content fingerprint: a stable 128-bit hash of a
-    /// canonical serialization of *every* field — benchmark, scheme
-    /// (including ablation opt subsets), the full system configuration,
-    /// scale parameters, seed, crash arming, and the trace/telemetry
-    /// settings (those change the exported artifacts, so a cached result
-    /// must be keyed on them too).
+    /// The spec's content fingerprint: [`hash_bytes`] of the spec's
+    /// canonical JSON, the exact text every cache file stores under
+    /// `"spec"` ([`crate::resultjson`]). That JSON writes *every* field —
+    /// benchmark, scheme (including ablation opt subsets), the full system
+    /// configuration, scale parameters, seed, crash arming, and the
+    /// trace/telemetry settings (those change the exported artifacts, so a
+    /// cached result must be keyed on them too).
     ///
     /// Because a run is a pure function of its spec and the binary, this
     /// fingerprint plus [`asap_sim::fingerprint::build_fingerprint`] is a
     /// complete cache key for a [`RunResult`](crate::RunResult): equal
-    /// fingerprints (same binary) imply bit-identical results. The
-    /// fingerprint suite in `tests/prop_resultjson.rs` holds the
-    /// "every field" claim by mutating each one and asserting the hash
-    /// moves.
+    /// fingerprints (same binary) imply bit-identical results. The tests
+    /// below and `tests/prop_resultjson.rs` hold the "every field" claim
+    /// by mutating each one and asserting the hash moves.
     pub fn fingerprint(&self) -> Fingerprint {
-        let mut c = Canon::new();
-        // Format tag: a cheap guard against ever feeding a differently
-        // shaped encoding to the same hash.
-        c.str("asap-cell-v1");
-        c.str(self.bench.label());
-        canon_scheme(&mut c, self.scheme);
-        canon_system_config(&mut c, &self.system);
-        c.u32(self.threads)
-            .u64(self.ops_per_thread)
-            .u64(self.value_bytes)
-            .u64(self.keyspace)
-            .u64(self.setup_keys)
-            .u64(self.seed)
-            .bool(self.track)
-            .opt_u64(self.crash_after);
-        canon_trace_settings(&mut c, &self.trace);
-        canon_telemetry_settings(&mut c, &self.telemetry);
-        c.fingerprint()
+        let mut json = String::with_capacity(1024);
+        crate::resultjson::spec_to_json(&mut json, self);
+        hash_bytes(json.as_bytes())
     }
-}
-
-/// Canonically encodes a scheme, including the ablation opt subset.
-/// `Asap` and `AsapWith(AsapOpts::all())` encode differently — they
-/// simulate identically today, but conflating distinct spec values in a
-/// cache key is never worth the risk.
-fn canon_scheme(c: &mut Canon, scheme: SchemeKind) {
-    match scheme {
-        SchemeKind::NoPersist => c.u32(0),
-        SchemeKind::SwUndo => c.u32(1),
-        SchemeKind::SwDpoOnly => c.u32(2),
-        SchemeKind::HwUndo => c.u32(3),
-        SchemeKind::HwRedo => c.u32(4),
-        SchemeKind::Asap => c.u32(5),
-        SchemeKind::AsapWith(opts) => c
-            .u32(6)
-            .bool(opts.dpo_coalescing)
-            .bool(opts.lpo_dropping)
-            .bool(opts.dpo_dropping),
-    };
 }
 
 #[cfg(test)]
@@ -314,6 +277,93 @@ mod tests {
         for v in &variants {
             assert_ne!(v.fingerprint(), base.fingerprint(), "{v:?}");
         }
+    }
+
+    /// Asserts every spec fingerprints differently from `base` and from
+    /// each other (no aliasing between fields holding swapped values).
+    fn assert_all_distinct(base: &WorkloadSpec, specs: &[WorkloadSpec]) {
+        let base_fp = base.fingerprint();
+        assert_eq!(
+            base_fp,
+            base.fingerprint(),
+            "fingerprint must be deterministic"
+        );
+        for s in specs {
+            assert_ne!(s.fingerprint(), base_fp, "mutation not seen: {s:?}");
+        }
+        let mut fps: Vec<Fingerprint> = specs.iter().map(WorkloadSpec::fingerprint).collect();
+        fps.push(base_fp);
+        fps.sort();
+        let before = fps.len();
+        fps.dedup();
+        assert_eq!(fps.len(), before, "fingerprint collision among mutants");
+    }
+
+    #[test]
+    fn system_fingerprint_sees_every_field() {
+        let spec = WorkloadSpec::new(BenchId::Hm, SchemeKind::Asap);
+        let base = spec.system;
+        let mut mutants: Vec<WorkloadSpec> = Vec::new();
+        macro_rules! mutant {
+            ($field:ident . $($rest:tt)*) => {{
+                let mut m = base;
+                m.$field.$($rest)*;
+                mutants.push(spec.with_system(m));
+            }};
+            ($field:ident = $v:expr) => {{
+                let mut m = base;
+                m.$field = $v;
+                mutants.push(spec.with_system(m));
+            }};
+        }
+        mutant!(cores = 17);
+        mutant!(l1.size_bytes = 64 << 10);
+        mutant!(l1.ways = 4);
+        mutant!(l1.latency = 5);
+        mutant!(l2.latency = 15);
+        mutant!(llc.size_bytes = 4 << 20);
+        mutant!(mem.controllers = 1);
+        mutant!(mem.channels_per_mc = 4);
+        mutant!(mem.wpq_entries = 64);
+        mutant!(mem.dram_latency = 151);
+        mutant!(mem.dram_write_service = 13);
+        mutant!(mem.pm_latency_mult = 4);
+        mutant!(mem.mc_hop_latency = 41);
+        mutant!(mem.wpq_residency = 0);
+        mutant!(mem.wpq_drain_watermark = 16);
+        mutant!(asap.cl_list_entries = 8);
+        mutant!(asap.clptr_slots = 4);
+        mutant!(asap.dep_list_entries = 64);
+        mutant!(asap.dep_slots = 2);
+        mutant!(asap.lh_wpq_entries = 16);
+        mutant!(asap.bloom_bits = 4096);
+        mutant!(asap.dpo_distance = 2);
+        mutant!(asap.log_entries_per_record = 3);
+        mutant!(asap.numa_broadcast_filter = true);
+        mutant!(compute_cost = 2);
+        mutant!(store_cost = 2);
+        mutant!(lock_cost = 21);
+        assert_eq!(mutants.len(), 27);
+        assert_all_distinct(&spec, &mutants);
+    }
+
+    #[test]
+    fn settings_fingerprints_differ() {
+        let base = WorkloadSpec::new(BenchId::Hm, SchemeKind::Asap);
+        let sampled = TelemetrySettings::enabled();
+        let mut capped = sampled;
+        capped.cap += 1;
+        assert_all_distinct(
+            &base,
+            &[
+                base.with_trace(TraceSettings::enabled()),
+                base.with_trace(TraceSettings::with_cap(16)),
+                base.with_trace(TraceSettings::with_cap(17)),
+                base.with_telemetry(sampled),
+                base.with_telemetry(sampled.with_period(64)),
+                base.with_telemetry(capped),
+            ],
+        );
     }
 
     #[test]

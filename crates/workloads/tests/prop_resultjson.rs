@@ -208,7 +208,7 @@ proptest! {
         let text = to_json(&r);
         let back = from_json(&text).expect("canonical JSON must decode");
         prop_assert!(results_identical(&r, &back), "decode changed a field");
-        // Canonical form: serializing the reconstruction is byte-equal,
+        // The form is canonical: serializing the reconstruction is byte-equal,
         // so cache files can be compared/deduplicated as raw bytes.
         prop_assert_eq!(to_json(&back), text);
     }
@@ -216,7 +216,7 @@ proptest! {
     #[test]
     fn fingerprint_moves_when_any_single_field_changes(
         spec in FnGen::new(arb_spec),
-        which in 0u64..13,
+        which in 0u64..15,
     ) {
         let base = spec.fingerprint();
         let mut m = spec;
@@ -245,7 +245,9 @@ proptest! {
                 };
             }
             11 => m.trace.enabled = !m.trace.enabled,
-            _ => m.telemetry.period += 1,
+            12 => m.trace.cap += 1,
+            13 => m.telemetry.period += 1,
+            _ => m.telemetry.cap += 1,
         }
         prop_assert_ne!(m.fingerprint(), base, "mutation {} not keyed", which);
         // And the mutation is reversible evidence, not hash instability:
